@@ -47,34 +47,27 @@ def _assign_balanced(points, centroids):
     Points are assigned in ascending order of distance to their nearest
     still-open centroid; a centroid closes once it reaches its capacity.
     Exactly (N mod K) subgroups end up with ceil(N/K) members.
+
+    One scan over the (distance, point, cluster) triples in ascending order
+    gives that greedy order: a triple is taken when its point is unassigned
+    and its cluster open, and an assigned point or a closed cluster never
+    becomes available again.
     """
     n, k = points.shape[0], centroids.shape[0]
     base, extra = divmod(n, k)
     counts = np.zeros(k, dtype=np.int64)
-    extra_left = extra
     assignments = np.full(n, -1, dtype=np.int64)
-    # pairwise squared distances, (N, K)
+    # pairwise squared distances, (N, K); a stable sort of the row-major
+    # flattening breaks distance ties by point, then cluster
     dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    unassigned = set(range(n))
-    while unassigned:
-        if extra_left > 0:
-            open_mask = counts < base + 1
-        else:
-            open_mask = counts < base
-        best = None  # (distance, point, cluster)
-        for i in sorted(unassigned):
-            for c in range(k):
-                if not open_mask[c]:
-                    continue
-                key = (dist[i, c], i, c)
-                if best is None or key < best:
-                    best = key
-        _, i, c = best
+    for flat in np.argsort(dist.ravel(), kind="stable").tolist():
+        i, c = divmod(flat, k)
+        if assignments[i] >= 0 or counts[c] >= base + (extra > 0):
+            continue
         assignments[i] = c
         counts[c] += 1
         if counts[c] == base + 1:
-            extra_left -= 1
-        unassigned.remove(i)
+            extra -= 1
     return assignments
 
 

@@ -10,8 +10,10 @@ error, 3 runtime/data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +24,7 @@ from . import __version__
 from .bat import BatConfig, run as run_bat, wrapper_fitness
 from .dataset import (EncodedDataset, FlowClass, N_CLASSES, dataset_hash,
                       encode, load_dataset, parse_kdd_csv, save_dataset,
-                      stratified_downsample)
+                      stratified_downsample, write_json)
 from .metrics import KDD99_COST_MATRIX, evaluate as evaluate_metrics
 from .wrf import (Forest, ForestConfig, TreeConfig, fit, load_forest,
                   predict_batch, save_forest)
@@ -58,20 +60,18 @@ def _load_json(path, what):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _write_json(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------- configs
 
-BAT_KEYS = {
-    "n_bats", "n_subgroups", "n_iterations", "w_max", "w_min", "c_max",
-    "c_min", "f_shrink_max", "f_shrink_min", "freq_min", "freq_max",
-    "alpha", "gamma", "loudness_init", "pulse_rate_init", "penalty",
-    "use_mutation", "use_self_learning",
-}
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+BAT_KEYS = _field_names(BatConfig) - {"seed"}
 PROBE_KEYS = {"probe_train_size", "probe_valid_size"}
+TREE_KEYS = _field_names(TreeConfig)
+FOREST_KEYS = _field_names(ForestConfig) - {"tree"}
+# keys that select the weighted schedule; "baseline": true switches it off
+WEIGHTING_KEYS = {"class_weights", "use_weight_updates", "use_weighted_vote"}
 
 
 def bat_config_from_doc(doc, seed) -> tuple:
@@ -89,27 +89,42 @@ def bat_config_from_doc(doc, seed) -> tuple:
     return cfg, probe
 
 
+def _is_weight(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v >= 0)
+
+
 def rf_config_from_doc(doc) -> ForestConfig:
+    """Forest config from an rf document; keys and defaults are the fields
+    of TreeConfig and ForestConfig, plus "baseline" for the classical RF."""
+    unknown = set(doc) - TREE_KEYS - FOREST_KEYS - {"baseline"}
+    if unknown:
+        raise ConfigError(f"unknown rf config keys: {sorted(unknown)}")
+    for key in ("n_trees", "max_depth", "min_samples_leaf"):
+        v = doc.get(key, 1)  # an absent key keeps the dataclass default
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+            raise ConfigError(f"rf {key} must be an integer >= 1, got {v!r}")
+    if doc.get("max_features") not in (None, "sqrt"):
+        raise ConfigError(f"rf max_features must be null or \"sqrt\", "
+                          f"got {doc['max_features']!r}")
+    tree = TreeConfig(**{k: doc[k] for k in TREE_KEYS if k in doc})
+    forest = {k: doc[k] for k in FOREST_KEYS if k in doc}
     if doc.get("baseline", False):
-        return ForestConfig.baseline(
-            n_trees=doc.get("n_trees", 100),
-            tree=TreeConfig(max_depth=doc.get("max_depth", 20),
-                            min_samples_leaf=doc.get("min_samples_leaf", 2),
-                            max_features=doc.get("max_features", None)))
-    cw = doc.get("class_weights", "default")
+        if forest.keys() & WEIGHTING_KEYS:
+            raise ConfigError(f"rf baseline cannot be combined with "
+                              f"{sorted(forest.keys() & WEIGHTING_KEYS)}")
+        return ForestConfig.baseline(tree=tree, **forest)
+    cw = forest.get("class_weights", "default")
     if cw == "default":
-        cfg = ForestConfig()
-        cw = cfg.class_weights
-    return ForestConfig(
-        n_trees=doc.get("n_trees", 100),
-        tree=TreeConfig(max_depth=doc.get("max_depth", 20),
-                        min_samples_leaf=doc.get("min_samples_leaf", 2),
-                        max_features=doc.get("max_features", None)),
-        class_weights=tuple(cw) if cw is not None else None,
-        use_weight_updates=doc.get("use_weight_updates", True),
-        use_weighted_vote=doc.get("use_weighted_vote", True),
-        invert_majority_beta=doc.get("invert_majority_beta", False),
-    )
+        forest.pop("class_weights", None)
+    elif cw is not None:
+        if not (isinstance(cw, list) and len(cw) == N_CLASSES
+                and all(_is_weight(w) for w in cw) and sum(cw) > 0):
+            raise ConfigError(
+                f"rf class_weights must be \"default\", null or {N_CLASSES} "
+                f"non-negative numbers with a positive sum, got {cw!r}")
+        forest["class_weights"] = tuple(cw)
+    return ForestConfig(tree=tree, **forest)
 
 
 def load_cost_matrix(path) -> np.ndarray:
@@ -198,7 +213,7 @@ def cmd_select_features(data_path, config_doc, seed, out_path):
         "seed": seed,
         "config_hash": _config_hash(config_doc),
     }
-    _write_json(doc, out_path)
+    write_json(doc, out_path)
     return doc
 
 
@@ -206,15 +221,22 @@ def load_mask(path) -> np.ndarray:
     doc = _load_json(path, "feature mask")
     if doc.get("format") != MASK_FORMAT:
         raise DataError(f"{path}: not a flowgate mask file")
-    return np.array([int(c) for c in doc["bits"]], dtype=np.uint8)
+    bits = doc.get("bits")
+    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+        raise DataError(f"{path}: mask bits must be a string of 0s and 1s")
+    return np.array([int(c) for c in bits], dtype=np.uint8)
+
+
+def _load_checked(load, path, what):
+    _require_file(path, what)
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot load {what} {path}: {exc}") from exc
 
 
 def _load_dataset_checked(path) -> EncodedDataset:
-    _require_file(path, "ingested dataset")
-    try:
-        return load_dataset(path)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot load dataset {path}: {exc}") from exc
+    return _load_checked(load_dataset, path, "ingested dataset")
 
 
 def cmd_train(data_path, mask_path, config_doc, seed, out_path):
@@ -231,8 +253,7 @@ def cmd_train(data_path, mask_path, config_doc, seed, out_path):
 
 
 def cmd_classify(model_path, data_path, out_path):
-    _require_file(model_path, "model")
-    forest = load_forest(model_path)
+    forest = _load_checked(load_forest, model_path, "model")
     ds = _load_dataset_checked(data_path)
     try:
         preds = predict_batch(forest, ds.X)
@@ -247,8 +268,7 @@ def cmd_classify(model_path, data_path, out_path):
 
 def cmd_evaluate(model_path, data_path, cost_path, out_path,
                  config_hash=None):
-    _require_file(model_path, "model")
-    forest = load_forest(model_path)
+    forest = _load_checked(load_forest, model_path, "model")
     ds = _load_dataset_checked(data_path)
     cost = load_cost_matrix(cost_path) if cost_path else KDD99_COST_MATRIX
     try:
@@ -261,7 +281,7 @@ def cmd_evaluate(model_path, data_path, cost_path, out_path,
     doc["n_samples"] = int(ds.n_samples)
     if config_hash:
         doc["config_hash"] = config_hash
-    _write_json(doc, out_path)
+    write_json(doc, out_path)
     return doc
 
 
@@ -333,7 +353,7 @@ def cmd_pipeline(config_path):
                 "status": "failed",
                 "seconds": round(time.monotonic() - start, 3)}
             manifest["status"] = f"failed at {name}"
-            _write_json(manifest, manifest_path)
+            write_json(manifest, manifest_path)
             raise
         manifest["stages"][name] = {
             "status": "ok", "seconds": round(time.monotonic() - start, 3)}
@@ -356,7 +376,7 @@ def cmd_pipeline(config_path):
         "train": dataset_hash(paths["train"]),
         "test": dataset_hash(paths["test"]),
     }
-    _write_json(manifest, manifest_path)
+    write_json(manifest, manifest_path)
     return manifest
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -246,6 +247,21 @@ def stratified_downsample(ds: EncodedDataset, targets, seed: int) -> EncodedData
                           encoders=ds.encoders)
 
 
+def write_json(doc, path) -> None:
+    """Write doc as key-sorted compact JSON, atomically: the text goes to a
+    temporary file beside path, which then replaces path, so a failed write
+    never leaves a truncated artifact."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_dataset(ds: EncodedDataset, path) -> None:
     """Write the dataset exchange file (self-describing JSON, round-trips
     bit-exactly)."""
@@ -253,12 +269,11 @@ def save_dataset(ds: EncodedDataset, path) -> None:
         "format": DATASET_FORMAT,
         "feature_names": list(ds.feature_names),
         "encoders": ds.encoders,
-        "class_counts": [int(c) for c in ds.class_counts],
-        "labels": [int(v) for v in ds.y],
-        "features": [[float(v) for v in row] for row in ds.X],
+        "class_counts": ds.class_counts.tolist(),
+        "labels": ds.y.tolist(),
+        "features": ds.X.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    write_json(doc, path)
 
 
 def load_dataset(path) -> EncodedDataset:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import N_CLASSES, EncodedDataset
+from .dataset import N_CLASSES, EncodedDataset, write_json
 
 MODEL_FORMAT = "flowgate-model-v1"
 
@@ -39,14 +39,13 @@ class ForestConfig:
     class_weights: tuple = DEFAULT_CLASS_WEIGHTS  # None -> uniform per sample
     use_weight_updates: bool = True
     use_weighted_vote: bool = True
-    invert_majority_beta: bool = False
 
     @classmethod
-    def baseline(cls, n_trees: int = 100, tree: TreeConfig | None = None):
-        """Classical RF: uniform sample weights, no updates, majority vote."""
-        return cls(n_trees=n_trees, tree=tree or TreeConfig(),
-                   class_weights=None, use_weight_updates=False,
-                   use_weighted_vote=False)
+    def baseline(cls, **fields):
+        """Classical RF: uniform sample weights, no updates, majority vote.
+        fields sets n_trees and tree."""
+        return cls(class_weights=None, use_weight_updates=False,
+                   use_weighted_vote=False, **fields)
 
 
 class DecisionTree:
@@ -67,6 +66,8 @@ class DecisionTree:
         return out
 
     def _route(self, node, idx, X, out):
+        if idx.size == 0:
+            return
         if "label" in node:
             out[idx] = node["label"]
             return
@@ -201,54 +202,28 @@ def roulette_sample(weights, count: int, rng) -> np.ndarray:
     return np.searchsorted(cum, rng.random(count), side="right")
 
 
-def tree_accuracy(tree: DecisionTree, ds: EncodedDataset):
-    """Error rate over the whole dataset and a_m = 0.5 ln((1-e)/e)."""
-    preds = tree.predict(ds.X)
-    e = float(np.mean(preds != ds.y))
+def score_tree(preds, y):
+    """a_m = 0.5 ln((1-e)/e) from the tree's error rate e over the dataset,
+    and the tree's accuracy on each class."""
+    counts = np.bincount(y, minlength=N_CLASSES)
+    if np.any(counts == 0):
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise ValueError(f"class {missing} absent from the dataset")
+    correct = preds == y
+    e = float(np.mean(~correct))
     e = min(1.0 - ERROR_CLAMP, max(ERROR_CLAMP, e))
-    return e, 0.5 * math.log((1.0 - e) / e)
+    return (0.5 * math.log((1.0 - e) / e),
+            np.bincount(y[correct], minlength=N_CLASSES) / counts)
 
 
-def beta_factor(is_majority_class: bool, correctly_classified: bool,
-                m_weight: float, n_weight: float,
-                invert_majority: bool = False) -> float:
-    """Class/correctness-dependent weight multiplier.
-
-    m_weight and n_weight are the total sample weights of the majority and
-    minority classes. Majority-correct and minority-misclassified samples
-    get 2^(m-n); the other two cells get 2^(n-m). invert_majority swaps the
-    majority-row cells.
-    """
-    diff = m_weight - n_weight
-    if is_majority_class and invert_majority:
-        exp = -diff if correctly_classified else diff
-    elif is_majority_class:
-        exp = diff if correctly_classified else -diff
-    else:
-        exp = -diff if correctly_classified else diff
-    exp = min(BETA_EXP_CLAMP, max(-BETA_EXP_CLAMP, exp))
-    return 2.0 ** exp
-
-
-def majority_partition(weights, labels):
-    """A class is majority when its total sample weight exceeds the
-    per-class mean 1/5. Returns (per-class majority flags, m_weight,
-    n_weight)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    class_mass = np.bincount(labels, weights=weights, minlength=N_CLASSES)
-    is_majority = class_mass > 1.0 / N_CLASSES
-    m_weight = float(class_mass[is_majority].sum())
-    n_weight = float(class_mass[~is_majority].sum())
-    return is_majority, m_weight, n_weight
-
-
-def update_weights(weights, predictions, truth, a_m: float, is_majority,
-                   invert_majority: bool = False) -> np.ndarray:
+def update_weights(weights, predictions, truth, a_m: float) -> np.ndarray:
     """One boosting-style weight update after a tree.
 
-    is_majority holds per-class majority flags; the majority/minority weight
-    masses m and n that parameterize beta come from the current weights
-    under that partition. Misclassified samples are multiplied by
+    A class is majority when its total sample weight exceeds the per-class
+    mean 1/5; m and n are the total weights of the majority and minority
+    classes. Majority-correct and minority-misclassified samples get
+    beta = 2^(m-n), the other two cells 2^(n-m), with the exponent clamped
+    to +-BETA_EXP_CLAMP. Misclassified samples are multiplied by
     beta * e^{+a_m}, correct ones by beta * e^{-a_m}, then the vector is
     renormalized to sum exactly 1.
     """
@@ -257,37 +232,20 @@ def update_weights(weights, predictions, truth, a_m: float, is_majority,
     predictions = np.asarray(predictions, dtype=np.int64)
     if predictions.shape != truth.shape or truth.shape != weights.shape:
         raise ValueError("weights, predictions and truth are misaligned")
-    is_majority = np.asarray(is_majority, dtype=bool)
     class_mass = np.bincount(truth, weights=weights, minlength=N_CLASSES)
-    m_w = float(class_mass[is_majority].sum())
-    n_w = float(class_mass[~is_majority].sum())
+    is_majority = class_mass > 1.0 / N_CLASSES
+    d = (float(class_mass[is_majority].sum())
+         - float(class_mass[~is_majority].sum()))
+    d = min(BETA_EXP_CLAMP, max(-BETA_EXP_CLAMP, d))
     correct = predictions == truth
-    beta = np.empty(weights.size)
-    for maj in (False, True):
-        for corr in (False, True):
-            sel = (is_majority[truth] == maj) & (correct == corr)
-            if sel.any():
-                beta[sel] = beta_factor(maj, corr, m_w, n_w, invert_majority)
-    mult = beta * np.where(correct, math.exp(-a_m), math.exp(a_m))
-    new = weights * mult
+    # Python float powers: np.power rounds differently in the last bit for
+    # about 5% of exponents, which would change saved models
+    beta = np.where(is_majority[truth] == correct, 2.0 ** d, 2.0 ** -d)
+    new = weights * (beta * np.where(correct, math.exp(-a_m), math.exp(a_m)))
     z = new.sum()
     if not (z > 0 and np.isfinite(z)):
         raise RuntimeError("weight update produced non-positive total mass")
     return new / z
-
-
-def per_class_accuracy(tree: DecisionTree, ds: EncodedDataset) -> np.ndarray:
-    """Accuracy of the tree on each class over the whole dataset."""
-    counts = ds.class_counts
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"class {missing} absent from the dataset")
-    preds = tree.predict(ds.X)
-    row = np.empty(N_CLASSES)
-    for j in range(N_CLASSES):
-        sel = ds.y == j
-        row[j] = float(np.mean(preds[sel] == j))
-    return row
 
 
 @dataclass
@@ -336,9 +294,10 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     """Train the weighted forest.
 
     Trees are grown sequentially: roulette bootstrap under the current
-    weights, whole-dataset accuracy and per-class accuracy row, then the
-    beta-scheduled weight update. Per-tree RNG streams derive from
-    (seed, tree index) so the result is deterministic.
+    weights, then one prediction pass over the whole dataset that gives
+    a_m, the per-class accuracy row and the beta-scheduled weight update.
+    Per-tree RNG streams derive from (seed, tree index) so the result is
+    deterministic.
     """
     mask = np.asarray(mask, dtype=np.uint8)
     if not mask.any():
@@ -357,14 +316,11 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
             idx = roulette_sample(weights, ds.n_samples, rng)
             tree = train_tree(ds.X[idx][:, cols], ds.y[idx], cols,
                               cfg.tree, rng)
-            _, a_m = tree_accuracy(tree, ds)
-            acc_rows.append(per_class_accuracy(tree, ds))
+            preds = tree.predict(ds.X)
+            a_m, acc_row = score_tree(preds, ds.y)
+            acc_rows.append(acc_row)
             if cfg.use_weight_updates:
-                preds = tree.predict(ds.X)
-                is_majority, _, _ = majority_partition(weights, ds.y)
-                weights = update_weights(weights, preds, ds.y, a_m,
-                                         is_majority,
-                                         cfg.invert_majority_beta)
+                weights = update_weights(weights, preds, ds.y, a_m)
                 if record_weights:
                     history.append(weights.copy())
         except Exception as exc:
@@ -385,7 +341,6 @@ def _config_doc(cfg: ForestConfig) -> dict:
                           if cfg.class_weights is not None else None),
         "use_weight_updates": cfg.use_weight_updates,
         "use_weighted_vote": cfg.use_weighted_vote,
-        "invert_majority_beta": cfg.invert_majority_beta,
     }
 
 
@@ -399,7 +354,6 @@ def _config_from_doc(doc: dict) -> ForestConfig:
                        if doc["class_weights"] is not None else None),
         use_weight_updates=doc["use_weight_updates"],
         use_weighted_vote=doc["use_weighted_vote"],
-        invert_majority_beta=doc["invert_majority_beta"],
     )
 
 
@@ -408,16 +362,14 @@ def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
     bit-identical predictions."""
     doc = {
         "format": MODEL_FORMAT,
-        "mask": [int(b) for b in forest.mask],
-        "accuracy_matrix": [[float(v) for v in row]
-                            for row in forest.accuracy_matrix],
+        "mask": forest.mask.tolist(),
+        "accuracy_matrix": forest.accuracy_matrix.tolist(),
         "config": _config_doc(forest.config),
         "trees": [t.root for t in forest.trees],
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    write_json(doc, path)
 
 
 def load_forest(path) -> Forest:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowgate.balanced_kmeans import cluster
+from flowgate.balanced_kmeans import _assign_balanced, cluster
 
 
 def random_bits(rng, n, d):
@@ -28,6 +28,20 @@ def test_capacity_arithmetic():
     out = cluster(random_bits(rng, 10, 5), 3, seed=1)
     sizes = sorted(np.bincount(out.assignments, minlength=3))
     assert sizes == [3, 3, 4]
+
+
+def test_greedy_order_and_capacity_closing():
+    centroids = np.array([[0.0], [10.0]])
+    # N=5, K=2: the first cluster to reach 3 takes the one extra slot, so
+    # the other closes at 2. Taken in order: p0 and p4 (distance 0), p1 (1)
+    # and p2 (4) to c0, which closes at 3; then p3 (25 to c0) goes to c1.
+    points = np.array([[0.0], [1.0], [2.0], [5.0], [10.0]])
+    assert list(_assign_balanced(points, centroids)) == [0, 0, 0, 1, 1]
+    # N=4, K=2, capacity 2 each: p2 and p3 (distance 0) first; p0 and p1
+    # are 25 from both, the tie gives p0 to c0, which then closes, so p1
+    # goes to c1
+    points = np.array([[5.0], [5.0], [0.0], [10.0]])
+    assert list(_assign_balanced(points, centroids)) == [0, 1, 0, 1]
 
 
 def test_errors():

@@ -137,6 +137,47 @@ def test_train_rejects_foreign_mask_file(pipeline_run, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("kind, payload, code", [
+    ("rf", {"n_tree": 3}, 2),
+    ("rf", {"invert_majority_beta": False}, 2),
+    ("rf", {"max_features": "log2"}, 2),
+    ("rf", {"n_trees": 0}, 2),
+    ("rf", {"max_depth": 0}, 2),
+    ("rf", {"min_samples_leaf": 1.5}, 2),
+    ("rf", {"class_weights": [0.5, 0.5]}, 2),
+    ("rf", {"class_weights": [0.3, -0.1, 0.4, 0.2, 0.2]}, 2),
+    ("rf", {"class_weights": [0, 0, 0, 0, 0]}, 2),
+    ("rf", {"baseline": True, "use_weight_updates": False}, 2),
+    ("rf", {"n_trees": 2, "max_features": "sqrt",
+            "class_weights": [1, 1, 1, 1, 1]}, 0),
+    ("mask", "2" + "1" * 40, 3),
+    ("model", None, 3),
+], ids=["unknown-key", "removed-key", "max-features-log2", "zero-trees",
+        "zero-depth", "fractional-leaf", "two-class-weights",
+        "negative-class-weight", "zero-sum-class-weights",
+        "baseline-with-weighting-key", "valid-custom", "mask-bit-2",
+        "truncated-model"])
+def test_exit_code_contract(pipeline_run, tmp_path, kind, payload, code):
+    out, _ = pipeline_run
+    rf, mask = tmp_path / "rf.json", out / "mask.json"
+    rf.write_text(json.dumps(payload if kind == "rf" else RF_DOC))
+    if kind == "mask":
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps({"format": "flowgate-mask-v1",
+                                    "bits": payload}))
+    if kind == "model":
+        model = tmp_path / "model.json"
+        model.write_bytes((out / "model.json").read_bytes()[:100])
+        args = ["evaluate", "--model", str(model),
+                "--data", str(out / "test.json"),
+                "--out", str(tmp_path / "report.json")]
+    else:
+        args = ["train", "--data", str(out / "train.json"),
+                "--mask", str(mask), "--config", str(rf), "--seed", "0",
+                "--out", str(tmp_path / "model.json")]
+    assert main(args) == code
+
+
 def test_classify_writes_named_classes(pipeline_run, tmp_path):
     out, _ = pipeline_run
     preds_path = tmp_path / "preds.csv"

@@ -4,7 +4,7 @@ import pytest
 from flowgate.dataset import (FlowClass, FlowRecord, N_FEATURES, dataset_hash,
                               encode, load_dataset, map_attack_to_class,
                               parse_kdd_csv, save_dataset,
-                              stratified_downsample)
+                              stratified_downsample, write_json)
 
 from conftest import make_kdd_file, make_kdd_line
 
@@ -198,6 +198,15 @@ class TestExchangeFile:
         save_dataset(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert dataset_hash(p1) == dataset_hash(p2)
+
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_json({"b": 1, "a": [0.5]}, path)
+        assert path.read_text() == '{"a":[0.5],"b":1}'
+        with pytest.raises(TypeError):
+            write_json({"a": object()}, path)
+        assert path.read_text() == '{"a":[0.5],"b":1}'
+        assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

@@ -1,14 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from flowgate.dataset import EncodedDataset
 from flowgate.wrf import (DEFAULT_CLASS_WEIGHTS, DecisionTree, Forest,
-                          ForestConfig, TreeConfig, beta_factor, fit,
-                          init_weights, load_forest, majority_partition,
-                          per_class_accuracy, predict_batch, roulette_sample,
-                          save_forest, train_tree, tree_accuracy,
+                          ForestConfig, TreeConfig, fit, init_weights,
+                          load_forest, predict_batch, roulette_sample,
+                          save_forest, score_tree, train_tree,
                           update_weights, weighted_vote)
 
 from conftest import synthetic_dataset
@@ -99,6 +98,13 @@ class TestTrainTree:
                           np.random.default_rng(0))
         assert np.all(tree.predict(X) == y)
 
+    def test_unreachable_branch_is_not_visited(self):
+        # the right subtree is malformed, but no row reaches it
+        tree = DecisionTree({"feature": 0, "threshold": 0.5,
+                             "left": {"label": 2, "hist": [0] * 5},
+                             "right": {"threshold": 1.0}})
+        assert np.all(tree.predict(np.zeros((3, 1))) == 2)
+
     def test_leaf_tie_goes_to_lowest_code(self):
         X = np.zeros((4, 2))
         y = np.array([1, 1, 3, 3])
@@ -108,64 +114,79 @@ class TestTrainTree:
 
 
 class TestTreeAccuracy:
-    def _constant_tree(self, label):
-        return DecisionTree({"label": label, "hist": [0] * 5})
-
-    def _dataset(self, labels):
-        labels = np.asarray(labels)
-        return EncodedDataset(X=np.zeros((labels.size, 2)), y=labels,
-                              feature_names=["a", "b"], encoders={})
+    # two rows per class, so every class is present
+    y = np.repeat(np.arange(5), 2)
 
     def test_coin_flip_tree(self):
-        ds = self._dataset([0] * 5 + [1] * 5)
-        e, a = tree_accuracy(self._constant_tree(0), ds)
-        assert e == pytest.approx(0.5)
+        preds = np.where(np.arange(10) % 2 == 0, self.y, (self.y + 1) % 5)
+        a, _ = score_tree(preds, self.y)  # e = 5/10
         assert a == pytest.approx(0.0)
 
     def test_point_one_error(self):
-        ds = self._dataset([0] * 9 + [1])
-        e, a = tree_accuracy(self._constant_tree(0), ds)
-        assert e == pytest.approx(0.1)
+        preds = self.y.copy()
+        preds[0] = 1
+        a, _ = score_tree(preds, self.y)  # e = 1/10
         assert a == pytest.approx(0.5 * math.log(9.0))
 
     def test_perfect_tree_clamped(self):
-        ds = self._dataset([0] * 10)
-        e, a = tree_accuracy(self._constant_tree(0), ds)
-        assert e == pytest.approx(1e-6)
+        a, _ = score_tree(self.y.copy(), self.y)  # e = 0 clamps to 1e-6
         assert a == pytest.approx(0.5 * math.log((1 - 1e-6) / 1e-6))
         assert math.isfinite(a)
 
 
+def reweighted(w, mult):
+    """update_weights' result for hand-worked per-row multipliers."""
+    new = np.asarray(w) * np.asarray(mult)
+    return new / new.sum()
+
+
 class TestBetaFactor:
+    """beta through update_weights with a_m = 0, so only beta moves the
+    weights. Two rows per class; class 0 holds the majority mass m and
+    classes 1-4 share the minority mass n."""
+    truth = np.repeat(np.arange(5), 2)
+
+    def update(self, class_mass, preds):
+        w = np.repeat(np.asarray(class_mass, dtype=np.float64) / 2, 2)
+        return w, update_weights(w, preds, self.truth, 0.0)
+
     def test_balanced_weights_all_one(self):
-        for maj in (True, False):
-            for corr in (True, False):
-                assert beta_factor(maj, corr, 0.5, 0.5) == 1.0
+        # m = n = 0.5: every cell gets 2^0
+        preds = np.where(np.arange(10) % 2 == 0, self.truth,
+                         (self.truth + 1) % 5)
+        w, out = self.update([0.5, 0.125, 0.125, 0.125, 0.125], preds)
+        assert np.array_equal(out, w)
 
     def test_minority_misclassified(self):
-        assert beta_factor(False, False, 0.7, 0.3) == \
-            pytest.approx(2 ** 0.4, rel=1e-9)
-        assert beta_factor(False, False, 0.7, 0.3) == pytest.approx(1.3195,
-                                                                    rel=1e-4)
+        # m = 0.7, n = 0.3; class 0 one right one wrong, minority all wrong
+        preds = (self.truth + 1) % 5
+        preds[0] = 0
+        w, out = self.update([0.7, 0.075, 0.075, 0.075, 0.075], preds)
+        mult = [2 ** 0.4, 2 ** -0.4] + [2 ** 0.4] * 8
+        assert out == pytest.approx(reweighted(w, mult), rel=1e-12)
 
     def test_minority_correct(self):
-        assert beta_factor(False, True, 0.7, 0.3) == \
-            pytest.approx(2 ** -0.4, rel=1e-9)
-        assert beta_factor(False, True, 0.7, 0.3) == pytest.approx(0.7579,
-                                                                   rel=1e-4)
+        # m = 0.7, n = 0.3; class 0 one right one wrong, minority all right
+        preds = self.truth.copy()
+        preds[1] = 1
+        w, out = self.update([0.7, 0.075, 0.075, 0.075, 0.075], preds)
+        mult = [2 ** 0.4, 2 ** -0.4] + [2 ** -0.4] * 8
+        assert out == pytest.approx(reweighted(w, mult), rel=1e-12)
 
     def test_majority_cells(self):
-        assert beta_factor(True, True, 0.8, 0.2) == pytest.approx(2 ** 0.6)
-        assert beta_factor(True, False, 0.8, 0.2) == pytest.approx(2 ** -0.6)
+        # m = 0.8, n = 0.2; rows 0 and 1 are the majority right and wrong
+        preds = self.truth.copy()
+        preds[1] = 1
+        w, out = self.update([0.8, 0.05, 0.05, 0.05, 0.05], preds)
+        mult = [2 ** 0.6, 2 ** -0.6] + [2 ** -0.6] * 8
+        assert out == pytest.approx(reweighted(w, mult), rel=1e-12)
 
     def test_exponent_clamp(self):
-        assert beta_factor(True, True, 100.0, 0.0) == 2.0 ** 10
-
-    def test_invert_majority_swaps_majority_row(self):
-        assert beta_factor(True, True, 0.8, 0.2, invert_majority=True) == \
-            pytest.approx(2 ** -0.6)
-        assert beta_factor(False, True, 0.8, 0.2, invert_majority=True) == \
-            pytest.approx(beta_factor(False, True, 0.8, 0.2))
+        # m - n = 100 clamps to 10
+        w = np.array([50.0, 50.0])
+        out = update_weights(w, np.array([0, 1]), np.array([0, 0]), 0.0)
+        assert out == pytest.approx(reweighted(w, [2.0 ** 10, 2.0 ** -10]),
+                                    rel=1e-12)
 
 
 class TestUpdateWeights:
@@ -173,26 +194,26 @@ class TestUpdateWeights:
         w = np.full(4, 0.25)
         truth = np.array([0, 0, 0, 0])
         preds = truth.copy()
-        out = update_weights(w, preds, truth, 1.3,
-                             is_majority=[True, False, False, False, False])
+        out = update_weights(w, preds, truth, 1.3)
         assert np.allclose(out, w)
 
     def test_identity_multipliers(self):
-        # a_m = 0 with a partition where m == n: all multipliers are 1
-        truth = np.array([0, 0, 1, 1])
-        preds = np.array([0, 1, 1, 0])
-        out = update_weights(np.full(4, 0.25), preds, truth, 0.0,
-                             is_majority=[True, False, False, False, False])
-        assert np.allclose(out, 0.25)
+        # a_m = 0 and class masses with m == n = 0.5: all multipliers are 1
+        w = np.array([0.25, 0.25, 0.125, 0.125, 0.125, 0.125])
+        truth = np.array([0, 0, 1, 2, 3, 4])
+        preds = np.array([0, 1, 1, 0, 3, 0])
+        out = update_weights(w, preds, truth, 0.0)
+        assert np.allclose(out, w)
 
     def test_hand_normalized_single_error(self):
-        # four equal weights, a_m = 0.5 ln 9, balanced partition (beta = 1),
-        # one misclassified sample -> 9/12 and 1/12 each
-        w = np.full(4, 0.25)
-        truth = np.array([0, 0, 1, 1])
-        preds = np.array([1, 0, 1, 1])
-        out = update_weights(w, preds, truth, 0.5 * math.log(9.0),
-                             is_majority=[True, False, False, False, False])
+        # four equal weights, a_m = 0.5 ln 9, one misclassified sample ->
+        # 9/12 and 1/12 each. Class 0 (mass 0.3) is majority and correct,
+        # class 1 (mass 0.1) minority and misclassified: both cells get
+        # beta 2^(m-n), which cancels.
+        w = np.full(4, 0.1)
+        truth = np.array([1, 0, 0, 0])
+        preds = np.array([0, 0, 0, 0])
+        out = update_weights(w, preds, truth, 0.5 * math.log(9.0))
         assert out[0] == pytest.approx(0.75)
         assert np.allclose(out[1:], 1.0 / 12)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
@@ -204,8 +225,7 @@ class TestUpdateWeights:
         truth = np.repeat(np.arange(5), 4)
         preds = truth.copy()
         preds[3] = (truth[3] + 1) % 5  # one class-0 sample wrong
-        is_majority, _, _ = majority_partition(w, truth)
-        out = update_weights(w, preds, truth, 0.7, is_majority)
+        out = update_weights(w, preds, truth, 0.7)
         ratio = out / w
         same_class = truth == truth[3]
         wrong_ratio = ratio[3]
@@ -220,20 +240,23 @@ class TestUpdateWeights:
         for _ in range(20):
             preds = np.where(rng.random(truth.size) < 0.3,
                              rng.integers(0, 5, truth.size), truth)
-            is_majority, _, _ = majority_partition(w, truth)
-            w = update_weights(w, preds, truth, 0.9, is_majority)
+            w = update_weights(w, preds, truth, 0.9)
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(w > 0)
 
 
 class TestMajorityPartition:
     def test_threshold_is_per_class_mean(self):
-        labels = np.repeat(np.arange(5), [60, 10, 15, 10, 5])
-        w = np.full(100, 0.01)
-        is_majority, m, n = majority_partition(w, labels)
-        assert list(is_majority) == [True, False, False, False, False]
-        assert m == pytest.approx(0.6)
-        assert n == pytest.approx(0.4)
+        # a class is majority when its mass exceeds 1/5; all rows correct,
+        # so majority rows get 2^(m-n) and minority rows 2^(n-m)
+        for sizes, majority, m in (([60, 10, 15, 10, 5], [0], 0.6),
+                                   ([40, 21, 19, 10, 10], [0, 1], 0.61)):
+            labels = np.repeat(np.arange(5), sizes)
+            w = np.full(100, 0.01)
+            out = update_weights(w, labels, labels, 0.0)
+            d = m - (1.0 - m)
+            mult = np.where(np.isin(labels, majority), 2 ** d, 2 ** -d)
+            assert out == pytest.approx(reweighted(w, mult), rel=1e-12)
 
 
 class TestPerClassAccuracy:
@@ -244,12 +267,13 @@ class TestPerClassAccuracy:
                           TreeConfig(max_depth=30, min_samples_leaf=1,
                                      max_features=None),
                           np.random.default_rng(0))
-        assert np.allclose(per_class_accuracy(tree, ds), 1.0)
+        _, row = score_tree(tree.predict(ds.X), ds.y)
+        assert np.allclose(row, 1.0)
 
     def test_constant_tree(self):
         ds = synthetic_dataset([10] * 5, seed=1, n_features=4)
         tree = DecisionTree({"label": 0, "hist": [0] * 5})
-        row = per_class_accuracy(tree, ds)
+        _, row = score_tree(tree.predict(ds.X), ds.y)
         assert row[0] == 1.0
         assert np.all(row[1:] == 0.0)
 
@@ -258,7 +282,7 @@ class TestPerClassAccuracy:
         ds.y[ds.y == 4] = 3
         tree = DecisionTree({"label": 0, "hist": [0] * 5})
         with pytest.raises(ValueError, match="class 4"):
-            per_class_accuracy(tree, ds)
+            score_tree(tree.predict(ds.X), ds.y)
 
 
 def constant_forest(labels_per_tree, matrix):
@@ -379,6 +403,13 @@ class TestPersistence:
         path2 = tmp_path / "model2.json"
         save_forest(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+        # model files written before the invert_majority_beta knob was
+        # removed still carry it
+        doc = json.loads(path.read_text())
+        doc["config"]["invert_majority_beta"] = False
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(predict_batch(load_forest(path), ds.X),
+                              predict_batch(forest, ds.X))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
