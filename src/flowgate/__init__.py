@@ -11,8 +11,7 @@ from .dataset import (EncodedDataset, FlowClass, FlowRecord, encode,
                       map_attack_to_class, parse_kdd_csv,
                       stratified_downsample)
 from .bat import BatConfig, BatResult, run as run_bat, wrapper_fitness
-from .wrf import (Forest, ForestConfig, TreeConfig, fit, predict_batch,
-                  weighted_vote)
+from .wrf import Forest, ForestConfig, TreeConfig, fit, predict_batch
 from .metrics import MetricsReport, confusion, evaluate, report
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "Forest", "ForestConfig", "MetricsReport", "TreeConfig", "confusion",
     "encode", "evaluate", "fit", "map_attack_to_class", "parse_kdd_csv",
     "predict_batch", "report", "run_bat", "stratified_downsample",
-    "weighted_vote",
 ]

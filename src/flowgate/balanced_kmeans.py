@@ -19,10 +19,6 @@ class ClusterAssignment:
     assignments: np.ndarray  # (N,) subgroup index in [0, K)
     centroids: np.ndarray    # (K, d)
 
-    @property
-    def n_clusters(self):
-        return self.centroids.shape[0]
-
     def members(self, k):
         return np.flatnonzero(self.assignments == k)
 

@@ -10,7 +10,7 @@ Bit-string addition and subtraction are both realized as XOR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,10 +10,8 @@ error, 3 runtime/data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -22,12 +20,13 @@ import numpy as np
 
 from . import __version__
 from .bat import BatConfig, run as run_bat, wrapper_fitness
-from .dataset import (EncodedDataset, FlowClass, N_CLASSES, dataset_hash,
-                      encode, load_dataset, parse_kdd_csv, save_dataset,
-                      stratified_downsample, write_json)
+from .dataset import (EncodedDataset, FlowClass, N_CLASSES, check_doc,
+                      dataset_hash, encode, field_types, load_dataset,
+                      parse_kdd_csv, save_dataset, stratified_downsample,
+                      write_json, write_text)
 from .metrics import KDD99_COST_MATRIX, evaluate as evaluate_metrics
-from .wrf import (Forest, ForestConfig, TreeConfig, fit, load_forest,
-                  predict_batch, save_forest)
+from .wrf import (CONFIG_TYPES, ForestConfig, config_from_doc, fit,
+                  load_forest, predict_batch, save_forest)
 
 MASK_FORMAT = "flowgate-mask-v1"
 
@@ -43,7 +42,6 @@ class DataError(Exception):
 def _require_file(path, what):
     if not os.path.isfile(path):
         raise ConfigError(f"{what} not found: {path}")
-    return path
 
 
 def _config_hash(doc) -> str:
@@ -62,69 +60,48 @@ def _load_json(path, what):
 
 # ---------------------------------------------------------------- configs
 
-def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-BAT_KEYS = _field_names(BatConfig) - {"seed"}
-PROBE_KEYS = {"probe_train_size", "probe_valid_size"}
-TREE_KEYS = _field_names(TreeConfig)
-FOREST_KEYS = _field_names(ForestConfig) - {"tree"}
+PROBE_SIZES = {"probe_train_size": 8000, "probe_valid_size": 8000}
 # keys that select the weighted schedule; "baseline": true switches it off
 WEIGHTING_KEYS = {"class_weights", "use_weight_updates", "use_weighted_vote"}
+# the pipeline document; its first six keys are required
+PIPELINE_TYPES = {"train_input": str, "test_input": str, "seed": int,
+                  "train_targets": tuple[int, ...], "output_dir": str,
+                  "test_targets": tuple[int, ...],
+                  "cost_matrix": str | None, "bat": dict, "rf": dict}
 
 
 def bat_config_from_doc(doc, seed) -> tuple:
-    unknown = set(doc) - BAT_KEYS - PROBE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown bat config keys: {sorted(unknown)}")
-    cfg = BatConfig(seed=seed,
-                    **{k: v for k, v in doc.items() if k in BAT_KEYS})
+    """Bat config and probe sizes from a bat document: the fields of
+    BatConfig but seed, and the two probe sizes."""
+    types = dict(field_types(BatConfig), **dict.fromkeys(PROBE_SIZES, int))
+    del types["seed"]
     try:
+        doc = check_doc(doc, types)
+        probe = [doc.pop(k, v) for k, v in PROBE_SIZES.items()]
+        cfg = BatConfig(seed=seed, **doc)
         cfg.validate()
     except ValueError as exc:
         raise ConfigError(f"invalid bat config: {exc}") from exc
-    probe = {"probe_train_size": doc.get("probe_train_size", 8000),
-             "probe_valid_size": doc.get("probe_valid_size", 8000)}
     return cfg, probe
 
 
-def _is_weight(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v >= 0)
-
-
 def rf_config_from_doc(doc) -> ForestConfig:
-    """Forest config from an rf document; keys and defaults are the fields
-    of TreeConfig and ForestConfig, plus "baseline" for the classical RF."""
-    unknown = set(doc) - TREE_KEYS - FOREST_KEYS - {"baseline"}
-    if unknown:
-        raise ConfigError(f"unknown rf config keys: {sorted(unknown)}")
-    for key in ("n_trees", "max_depth", "min_samples_leaf"):
-        v = doc.get(key, 1)  # an absent key keeps the dataclass default
-        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-            raise ConfigError(f"rf {key} must be an integer >= 1, got {v!r}")
-    if doc.get("max_features") not in (None, "sqrt"):
-        raise ConfigError(f"rf max_features must be null or \"sqrt\", "
-                          f"got {doc['max_features']!r}")
-    tree = TreeConfig(**{k: doc[k] for k in TREE_KEYS if k in doc})
-    forest = {k: doc[k] for k in FOREST_KEYS if k in doc}
-    if doc.get("baseline", False):
-        if forest.keys() & WEIGHTING_KEYS:
-            raise ConfigError(f"rf baseline cannot be combined with "
-                              f"{sorted(forest.keys() & WEIGHTING_KEYS)}")
-        return ForestConfig.baseline(tree=tree, **forest)
-    cw = forest.get("class_weights", "default")
-    if cw == "default":
-        forest.pop("class_weights", None)
-    elif cw is not None:
-        if not (isinstance(cw, list) and len(cw) == N_CLASSES
-                and all(_is_weight(w) for w in cw) and sum(cw) > 0):
-            raise ConfigError(
-                f"rf class_weights must be \"default\", null or {N_CLASSES} "
-                f"non-negative numbers with a positive sum, got {cw!r}")
-        forest["class_weights"] = tuple(cw)
-    return ForestConfig(tree=tree, **forest)
+    """Forest config from an rf document: CONFIG_TYPES, "baseline": true for
+    the classical RF, and "class_weights": "default" for the stated priors."""
+    types = dict(CONFIG_TYPES, baseline=bool,
+                 class_weights=CONFIG_TYPES["class_weights"] | str)
+    try:
+        doc = check_doc(doc, types)
+        baseline = doc.pop("baseline", False)
+        if baseline and doc.keys() & WEIGHTING_KEYS:
+            raise ValueError(f"baseline cannot be combined with "
+                             f"{sorted(doc.keys() & WEIGHTING_KEYS)}")
+        if doc.get("class_weights") == "default":
+            del doc["class_weights"]
+        return config_from_doc(
+            doc, ForestConfig.baseline if baseline else ForestConfig)
+    except ValueError as exc:
+        raise ConfigError(f"invalid rf config: {exc}") from exc
 
 
 def load_cost_matrix(path) -> np.ndarray:
@@ -189,10 +166,9 @@ def probe_split(ds: EncodedDataset, train_size, valid_size, seed):
 
 
 def cmd_select_features(data_path, config_doc, seed, out_path):
-    ds = _load_dataset_checked(data_path)
+    ds = _load_checked(load_dataset, data_path, "ingested dataset")
     cfg, probe = bat_config_from_doc(config_doc, seed)
-    train, valid = probe_split(ds, probe["probe_train_size"],
-                               probe["probe_valid_size"], seed)
+    train, valid = probe_split(ds, *probe, seed)
 
     def fitness(mask):
         return wrapper_fitness(mask, train, valid, eval_seed=seed,
@@ -219,7 +195,7 @@ def cmd_select_features(data_path, config_doc, seed, out_path):
 
 def load_mask(path) -> np.ndarray:
     doc = _load_json(path, "feature mask")
-    if doc.get("format") != MASK_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MASK_FORMAT:
         raise DataError(f"{path}: not a flowgate mask file")
     bits = doc.get("bits")
     if not isinstance(bits, str) or set(bits) - {"0", "1"}:
@@ -235,12 +211,8 @@ def _load_checked(load, path, what):
         raise DataError(f"cannot load {what} {path}: {exc}") from exc
 
 
-def _load_dataset_checked(path) -> EncodedDataset:
-    return _load_checked(load_dataset, path, "ingested dataset")
-
-
 def cmd_train(data_path, mask_path, config_doc, seed, out_path):
-    ds = _load_dataset_checked(data_path)
+    ds = _load_checked(load_dataset, data_path, "ingested dataset")
     mask = load_mask(mask_path)
     cfg = rf_config_from_doc(config_doc)
     try:
@@ -254,22 +226,21 @@ def cmd_train(data_path, mask_path, config_doc, seed, out_path):
 
 def cmd_classify(model_path, data_path, out_path):
     forest = _load_checked(load_forest, model_path, "model")
-    ds = _load_dataset_checked(data_path)
+    ds = _load_checked(load_dataset, data_path, "ingested dataset")
     try:
         preds = predict_batch(forest, ds.X)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("index,true_class,predicted_class\n")
-        for i, (t, p) in enumerate(zip(ds.y, preds)):
-            fh.write(f"{i},{FlowClass(t).name},{FlowClass(p).name}\n")
+    write_text("index,true_class,predicted_class\n" + "".join(
+        f"{i},{FlowClass(t).name},{FlowClass(p).name}\n"
+        for i, (t, p) in enumerate(zip(ds.y, preds))), out_path)
     return preds
 
 
 def cmd_evaluate(model_path, data_path, cost_path, out_path,
                  config_hash=None):
     forest = _load_checked(load_forest, model_path, "model")
-    ds = _load_dataset_checked(data_path)
+    ds = _load_checked(load_dataset, data_path, "ingested dataset")
     cost = load_cost_matrix(cost_path) if cost_path else KDD99_COST_MATRIX
     try:
         preds = predict_batch(forest, ds.X)
@@ -288,35 +259,27 @@ def cmd_evaluate(model_path, data_path, cost_path, out_path,
 # --------------------------------------------------------------- pipeline
 
 def _pipeline_variant(bat_cfg: BatConfig, rf_cfg: ForestConfig) -> str:
-    bat_base = (bat_cfg.n_subgroups == 1 and not bat_cfg.use_mutation
-                and not bat_cfg.use_self_learning)
-    rf_base = (rf_cfg.class_weights is None
-               and not rf_cfg.use_weight_updates
-               and not rf_cfg.use_weighted_vote)
-    bat_full = (bat_cfg.n_subgroups > 1 and bat_cfg.use_mutation
-                and bat_cfg.use_self_learning)
-    rf_full = (rf_cfg.use_weight_updates and rf_cfg.use_weighted_vote
-               and rf_cfg.class_weights is not None)
-    if bat_base and rf_base:
+    switches = (bat_cfg.n_subgroups > 1, bat_cfg.use_mutation,
+                bat_cfg.use_self_learning, rf_cfg.class_weights is not None,
+                rf_cfg.use_weight_updates, rf_cfg.use_weighted_vote)
+    if not any(switches):
         return "baseline"
-    if bat_full and rf_full:
-        return "improved"
-    return "custom"
+    return "improved" if all(switches) else "custom"
 
 
 def cmd_pipeline(config_path):
     doc = _load_json(config_path, "pipeline config")
-    for key in ("train_input", "test_input", "train_targets", "test_targets",
-                "seed", "output_dir"):
-        if key not in doc:
-            raise ConfigError(f"pipeline config missing key {key!r}")
+    try:
+        check_doc(doc, PIPELINE_TYPES, required=list(PIPELINE_TYPES)[:6])
+    except ValueError as exc:
+        raise ConfigError(f"invalid pipeline config: {exc}") from exc
     _require_file(doc["train_input"], "training dataset")
     _require_file(doc["test_input"], "test dataset")
     if doc.get("cost_matrix"):
         _require_file(doc["cost_matrix"], "cost matrix")
     out_dir = doc["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    seed = int(doc["seed"])
+    seed = doc["seed"]
     bat_doc = doc.get("bat", {})
     rf_doc = doc.get("rf", {})
     bat_cfg, _ = bat_config_from_doc(bat_doc, seed)
@@ -335,13 +298,8 @@ def cmd_pipeline(config_path):
         "stages": {},
         "status": "running",
     }
-    paths = {
-        "train": os.path.join(out_dir, "train.json"),
-        "test": os.path.join(out_dir, "test.json"),
-        "mask": os.path.join(out_dir, "mask.json"),
-        "model": os.path.join(out_dir, "model.json"),
-        "report": os.path.join(out_dir, "report.json"),
-    }
+    paths = {k: os.path.join(out_dir, f"{k}.json")
+             for k in ("train", "test", "mask", "model", "report")}
     manifest_path = os.path.join(out_dir, "manifest.json")
 
     def stage(name, fn):
@@ -372,10 +330,8 @@ def cmd_pipeline(config_path):
         paths["report"], config_hash=cfg_hash))
 
     manifest["status"] = "ok"
-    manifest["dataset_sha256"] = {
-        "train": dataset_hash(paths["train"]),
-        "test": dataset_hash(paths["test"]),
-    }
+    manifest["dataset_sha256"] = {k: dataset_hash(paths[k])
+                                  for k in ("train", "test")}
     write_json(manifest, manifest_path)
     return manifest
 
@@ -386,7 +342,6 @@ COMPARE_METRICS = ("accuracy", "false_alarm_rate", "cost")
 
 
 def cmd_compare(dir_a, dir_b, out_path=None):
-    rows = []
     reports = []
     for d in (dir_a, dir_b):
         rp = os.path.join(d, "report.json")
@@ -397,20 +352,15 @@ def cmd_compare(dir_a, dir_b, out_path=None):
         raise DataError(
             "runs were evaluated on different test sets "
             f"({dir_a} vs {dir_b}); refusing to compare")
-    rows.append(("metric", dir_a, dir_b, "delta"))
-    for key in COMPARE_METRICS:
-        a, b = reports[0][key], reports[1][key]
-        rows.append((key, f"{a:.6f}", f"{b:.6f}", f"{a - b:+.6f}"))
-    for j in range(N_CLASSES):
-        name = FlowClass(j).name
-        a = reports[0]["per_class"][name]["recall"]
-        b = reports[1]["per_class"][name]["recall"]
-        rows.append((f"recall_{name}", f"{a:.6f}", f"{b:.6f}",
-                     f"{a - b:+.6f}"))
+    pairs = [(key, [r[key] for r in reports]) for key in COMPARE_METRICS]
+    pairs += [(f"recall_{c.name}", [r["per_class"][c.name]["recall"]
+                                    for r in reports]) for c in FlowClass]
+    rows = [("metric", dir_a, dir_b, "delta")] + [
+        (key, f"{a:.6f}", f"{b:.6f}", f"{a - b:+.6f}")
+        for key, (a, b) in pairs]
     csv_text = "\n".join(",".join(r) for r in rows) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        write_text(csv_text, out_path)
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     table = "\n".join(
         "  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in rows)
@@ -510,8 +460,7 @@ def main(argv=None):
                   f"cost {doc['cost']:.4f}")
         elif args.command == "pipeline":
             manifest = cmd_pipeline(args.config)
-            print(f"pipeline ok ({manifest['variant']}), "
-                  f"artifacts in place")
+            print(f"pipeline ok ({manifest['variant']}), artifacts in place")
         elif args.command == "compare":
             _, table = cmd_compare(args.run_a, args.run_b, args.out)
             print(table)

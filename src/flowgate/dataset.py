@@ -7,9 +7,12 @@ R2L) with stable integer codes 0-4.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
+import typing
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -247,11 +250,9 @@ def stratified_downsample(ds: EncodedDataset, targets, seed: int) -> EncodedData
                           encoders=ds.encoders)
 
 
-def write_json(doc, path) -> None:
-    """Write doc as key-sorted compact JSON, atomically: the text goes to a
-    temporary file beside path, which then replaces path, so a failed write
-    never leaves a truncated artifact."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def write_text(text, path) -> None:
+    """Write text to a temporary file beside path, then move it over path,
+    so a failed write never leaves a truncated artifact."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -260,6 +261,49 @@ def write_json(doc, path) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_json(doc, path) -> None:
+    """Write doc as key-sorted compact JSON with write_text."""
+    write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")), path)
+
+
+def field_types(*classes) -> dict:
+    """Key -> type of the fields of the given config dataclasses."""
+    return {f.name: typing.get_type_hints(cls)[f.name]
+            for cls in classes for f in dataclasses.fields(cls)}
+
+
+def fits(value, tp) -> bool:
+    """Whether a JSON value has type tp. A boolean is never a number, a
+    float must be finite, and tuple[t, ...] is an array of t."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    if args:  # a union such as str | None
+        return any(fits(value, t) for t in args)
+    if tp is float:
+        return fits(value, int) or (isinstance(value, float)
+                                    and math.isfinite(value))
+    return isinstance(value, tp) and (tp is bool) == isinstance(value, bool)
+
+
+def check_doc(doc, types, required=()) -> dict:
+    """The JSON object doc checked against types, a key -> type map such as
+    field_types gives; arrays come back as tuples. ValueError for an
+    unknown or missing key or a value of another type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(types))
+    missing = sorted(set(required) - set(doc))
+    if unknown or missing:
+        raise ValueError(f"unknown keys {unknown}, missing keys {missing}")
+    for key, value in doc.items():
+        tp = types[key]
+        if not fits(value, tp):
+            name = tp.__name__ if isinstance(tp, type) else tp
+            raise ValueError(f"{key} must be of type {name}, got {value!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
 def save_dataset(ds: EncodedDataset, path) -> None:

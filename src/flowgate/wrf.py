@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import N_CLASSES, EncodedDataset, write_json
+from .dataset import (N_CLASSES, EncodedDataset, check_doc, field_types,
+                      write_json)
 
 MODEL_FORMAT = "flowgate-model-v1"
 
@@ -31,14 +32,28 @@ class TreeConfig:
     min_samples_leaf: int = 2
     max_features: str | None = None  # "sqrt" or None (all features)
 
+    def validate(self):
+        if not (self.max_depth >= 1 and self.min_samples_leaf >= 1
+                and self.max_features in (None, "sqrt")):
+            raise ValueError(f"require max_depth >= 1, min_samples_leaf >= 1 "
+                             f"and max_features None or 'sqrt': {self}")
+
 
 @dataclass
 class ForestConfig:
     n_trees: int = 100
     tree: TreeConfig = field(default_factory=TreeConfig)
-    class_weights: tuple = DEFAULT_CLASS_WEIGHTS  # None -> uniform per sample
+    class_weights: tuple[float, ...] | None = DEFAULT_CLASS_WEIGHTS
     use_weight_updates: bool = True
     use_weighted_vote: bool = True
+
+    def validate(self):
+        self.tree.validate()
+        cw = self.class_weights
+        if not (self.n_trees >= 1 and (cw is None or len(cw) == N_CLASSES
+                                       and min(cw) >= 0 and sum(cw) > 0)):
+            raise ValueError(f"require n_trees >= 1 and class_weights None or "
+                             f"{N_CLASSES} weights >= 0, sum > 0: {self}")
 
     @classmethod
     def baseline(cls, **fields):
@@ -46,6 +61,11 @@ class ForestConfig:
         fields sets n_trees and tree."""
         return cls(class_weights=None, use_weight_updates=False,
                    use_weighted_vote=False, **fields)
+
+
+# the flat forest config of a model file: TreeConfig and ForestConfig fields
+CONFIG_TYPES = {k: t for k, t in field_types(TreeConfig, ForestConfig).items()
+                if k != "tree"}
 
 
 class DecisionTree:
@@ -74,13 +94,6 @@ class DecisionTree:
         go_left = X[idx, node["feature"]] <= node["threshold"]
         self._route(node["left"], idx[go_left], X, out)
         self._route(node["right"], idx[~go_left], X, out)
-
-    def depth(self):
-        def walk(node):
-            if "label" in node:
-                return 0
-            return 1 + max(walk(node["left"]), walk(node["right"]))
-        return walk(self.root)
 
     def node_count(self):
         def walk(node):
@@ -144,10 +157,7 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
         raise ValueError("cannot train a tree on an empty bootstrap")
     d = X.shape[1]
     feature_ids = np.asarray(feature_ids, dtype=np.int64)
-    if cfg.max_features == "sqrt":
-        mtry = int(math.ceil(math.sqrt(d)))
-    else:
-        mtry = d
+    mtry = int(math.ceil(math.sqrt(d))) if cfg.max_features == "sqrt" else d
 
     def grow(idx, depth):
         ysub = y[idx]
@@ -266,13 +276,6 @@ class Forest:
         return np.ones_like(self.accuracy_matrix)
 
 
-def weighted_vote(forest: Forest, x) -> int:
-    """Score each class by the accuracy-weighted votes of trees predicting
-    it; argmax with ties to the lowest class code."""
-    return int(predict_batch(forest, np.asarray(x, dtype=np.float64)
-                             .reshape(1, -1))[0])
-
-
 def predict_batch(forest: Forest, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.mask.size:
@@ -299,6 +302,7 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     Per-tree RNG streams derive from (seed, tree index) so the result is
     deterministic.
     """
+    cfg.validate()
     mask = np.asarray(mask, dtype=np.uint8)
     if not mask.any():
         raise ValueError("empty feature mask")
@@ -331,40 +335,35 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
                   mask=mask, config=cfg, weight_history=history)
 
 
-def _config_doc(cfg: ForestConfig) -> dict:
-    return {
-        "n_trees": cfg.n_trees,
-        "max_depth": cfg.tree.max_depth,
-        "min_samples_leaf": cfg.tree.min_samples_leaf,
-        "max_features": cfg.tree.max_features,
-        "class_weights": (list(cfg.class_weights)
-                          if cfg.class_weights is not None else None),
-        "use_weight_updates": cfg.use_weight_updates,
-        "use_weighted_vote": cfg.use_weighted_vote,
-    }
+def config_from_doc(doc: dict, make=ForestConfig) -> ForestConfig:
+    """Validated make(...) from a checked flat config document."""
+    tree = {k: doc[k] for k in field_types(TreeConfig) if k in doc}
+    cfg = make(tree=TreeConfig(**tree),
+               **{k: v for k, v in doc.items() if k not in tree})
+    cfg.validate()
+    return cfg
 
 
-def _config_from_doc(doc: dict) -> ForestConfig:
-    return ForestConfig(
-        n_trees=doc["n_trees"],
-        tree=TreeConfig(max_depth=doc["max_depth"],
-                        min_samples_leaf=doc["min_samples_leaf"],
-                        max_features=doc["max_features"]),
-        class_weights=(tuple(doc["class_weights"])
-                       if doc["class_weights"] is not None else None),
-        use_weight_updates=doc["use_weight_updates"],
-        use_weighted_vote=doc["use_weighted_vote"],
-    )
+def _check_node(node, allowed):
+    """ValueError unless each node's label or feature is an int in allowed."""
+    key = "label" if "label" in node else "feature"
+    if type(node[key]) is not int or node[key] not in allowed[key]:
+        raise ValueError(f"tree node {key} {node[key]!r} is out of range")
+    if key == "feature":
+        _check_node(node["left"], allowed)
+        _check_node(node["right"], allowed)
 
 
 def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
     """Persist the model as self-describing JSON; loading reproduces
     bit-identical predictions."""
+    config = asdict(forest.config)
+    config.update(config.pop("tree"))
     doc = {
         "format": MODEL_FORMAT,
         "mask": forest.mask.tolist(),
         "accuracy_matrix": forest.accuracy_matrix.tolist(),
-        "config": _config_doc(forest.config),
+        "config": config,
         "trees": [t.root for t in forest.trees],
     }
     if extra:
@@ -373,13 +372,27 @@ def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
 
 
 def load_forest(path) -> Forest:
+    """Load a model file; ValueError if any part of it is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a flowgate model file")
-    return Forest(
+    # files saved before invert_majority_beta was removed still carry it
+    config = check_doc(doc["config"],
+                       dict(CONFIG_TYPES, invert_majority_beta=bool),
+                       required=CONFIG_TYPES)
+    config.pop("invert_majority_beta", None)
+    forest = Forest(
         trees=[DecisionTree(root) for root in doc["trees"]],
         accuracy_matrix=np.array(doc["accuracy_matrix"], dtype=np.float64),
         mask=np.array(doc["mask"], dtype=np.uint8),
-        config=_config_from_doc(doc["config"]),
+        config=config_from_doc(config),
     )
+    if forest.accuracy_matrix.shape != (N_CLASSES, forest.n_trees):
+        raise ValueError(f"accuracy matrix does not fit {forest.n_trees} "
+                         f"trees: shape {forest.accuracy_matrix.shape}")
+    allowed = {"label": set(range(N_CLASSES)),
+               "feature": set(np.flatnonzero(forest.mask).tolist())}
+    for tree in forest.trees:
+        _check_node(tree.root, allowed)
+    return forest

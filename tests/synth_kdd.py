@@ -4,17 +4,20 @@ Produces raw 42-field CSV flows with the duplicate-heavy structure of real
 intrusion captures: every class is a mixture over a fixed table of flow
 prototypes (attack tool x configuration), and each record repeats its
 prototype exactly, the way coarse flow counters produce masses of
-duplicate rows. Two structural properties matter for the pipeline
+duplicate rows. Two structural properties are designed for the pipeline
 exercised on this corpus:
 
 - every signal column is the *unique* resolver of one designed collision
   between an attack prototype and a Normal prototype that agree everywhere
   else, so dropping that column costs a measurable slice of accuracy and a
   feature selector must keep the whole signal set;
-- one R2L prototype is also emitted as Normal traffic with higher volume
-  (at the flow level some remote-to-local logins are indistinguishable
-  from legitimate sessions), so an unweighted classifier writes that
-  region off as Normal while a rare-class-aware one flips it.
+- the generator can also emit one R2L prototype as Normal traffic with
+  higher volume (at the flow level some remote-to-local logins are
+  indistinguishable from legitimate sessions), so that an unweighted
+  classifier writes that region off as Normal while a rare-class-aware one
+  flips it. This conflict is off in this acceptance corpus
+  (CONFLICT_R2L_WEIGHT = 0.0); the benchmark's corpus in bench/corpora.py
+  switches it on.
 
 Used when no real KDD capture is available in the test environment.
 """

@@ -137,45 +137,123 @@ def test_train_rejects_foreign_mask_file(pipeline_run, tmp_path):
     assert rc == 3
 
 
+def _first_leaf(node):
+    while "label" not in node:
+        node = node["left"]
+    return node
+
+
+def _unmasked_split(doc):
+    root = doc["trees"][0]
+    assert "feature" in root
+    root["feature"] = doc["mask"].index(0) if 0 in doc["mask"] else 41
+
+
+BAD_BAT_DOCS = [
+    ("string-n-bats", {"n_bats": "8"}),
+    ("fractional-n-bats", {"n_bats": 8.5}),
+    ("string-w-max", {"w_max": "0.9"}),
+    ("string-probe-size", {"probe_train_size": "x"}),
+    ("string-penalty", {"penalty": "x"}),
+    ("string-switch", {"use_mutation": "no"}),
+]
+
+
 @pytest.mark.parametrize("kind, payload, code", [
-    ("rf", {"n_tree": 3}, 2),
-    ("rf", {"invert_majority_beta": False}, 2),
-    ("rf", {"max_features": "log2"}, 2),
-    ("rf", {"n_trees": 0}, 2),
-    ("rf", {"max_depth": 0}, 2),
-    ("rf", {"min_samples_leaf": 1.5}, 2),
-    ("rf", {"class_weights": [0.5, 0.5]}, 2),
-    ("rf", {"class_weights": [0.3, -0.1, 0.4, 0.2, 0.2]}, 2),
-    ("rf", {"class_weights": [0, 0, 0, 0, 0]}, 2),
-    ("rf", {"baseline": True, "use_weight_updates": False}, 2),
-    ("rf", {"n_trees": 2, "max_features": "sqrt",
-            "class_weights": [1, 1, 1, 1, 1]}, 0),
-    ("mask", "2" + "1" * 40, 3),
-    ("model", None, 3),
-], ids=["unknown-key", "removed-key", "max-features-log2", "zero-trees",
-        "zero-depth", "fractional-leaf", "two-class-weights",
-        "negative-class-weight", "zero-sum-class-weights",
-        "baseline-with-weighting-key", "valid-custom", "mask-bit-2",
-        "truncated-model"])
-def test_exit_code_contract(pipeline_run, tmp_path, kind, payload, code):
-    out, _ = pipeline_run
+    pytest.param("rf", {"n_tree": 3}, 2, id="unknown-key"),
+    pytest.param("rf", {"invert_majority_beta": False}, 2, id="removed-key"),
+    pytest.param("rf", {"max_features": "log2"}, 2, id="max-features-log2"),
+    pytest.param("rf", {"n_trees": 0}, 2, id="zero-trees"),
+    pytest.param("rf", {"max_depth": 0}, 2, id="zero-depth"),
+    pytest.param("rf", {"min_samples_leaf": 1.5}, 2, id="fractional-leaf"),
+    pytest.param("rf", {"class_weights": [0.5, 0.5]}, 2,
+                 id="two-class-weights"),
+    pytest.param("rf", {"class_weights": [0.3, -0.1, 0.4, 0.2, 0.2]}, 2,
+                 id="negative-class-weight"),
+    pytest.param("rf", {"class_weights": [0, 0, 0, 0, 0]}, 2,
+                 id="zero-sum-class-weights"),
+    pytest.param("rf", {"baseline": True, "use_weight_updates": False}, 2,
+                 id="baseline-with-weighting-key"),
+    pytest.param("rf", {"n_trees": 2, "max_features": "sqrt",
+                        "class_weights": [1, 1, 1, 1, 1]}, 0,
+                 id="valid-custom"),
+    pytest.param("rf", {"use_weight_updates": "no"}, 2,
+                 id="string-weight-updates"),
+    pytest.param("rf", {"use_weighted_vote": 0}, 2, id="integer-vote-switch"),
+    pytest.param("rf", {"baseline": "yes"}, 2, id="string-baseline"),
+    pytest.param("rf", {"class_weights": "uniform"}, 2,
+                 id="string-class-weights"),
+    pytest.param("rf", {"class_weights": [1, 1, True, 1, 1]}, 2,
+                 id="boolean-class-weight"),
+    *[pytest.param("bat", doc, 2, id=f"bat-{name}")
+      for name, doc in BAD_BAT_DOCS],
+    *[pytest.param("pipeline-bat", doc, 2, id=f"pipeline-bat-{name}")
+      for name, doc in BAD_BAT_DOCS],
+    pytest.param("pipeline", {"seed": "abc"}, 2, id="pipeline-string-seed"),
+    pytest.param("pipeline", {"seed": None}, 2, id="pipeline-null-seed"),
+    pytest.param("pipeline", {"seed": 1.7}, 2, id="pipeline-fractional-seed"),
+    pytest.param("pipeline", {"seed": True}, 2, id="pipeline-boolean-seed"),
+    pytest.param("pipeline", {"output_dir": 5}, 2,
+                 id="pipeline-integer-output-dir"),
+    pytest.param("pipeline", {"train_targets": "1,2"}, 2,
+                 id="pipeline-string-targets"),
+    pytest.param("pipeline", {"test_targets": [1, 2, "3", 4, 5]}, 2,
+                 id="pipeline-string-target"),
+    pytest.param("pipeline", {"rf": []}, 2, id="pipeline-array-rf"),
+    pytest.param("pipeline", {"extra": 1}, 2, id="pipeline-unknown-key"),
+    pytest.param("mask", "2" + "1" * 40, 3, id="mask-bit-2"),
+    pytest.param("mask", None, 3, id="mask-array"),
+    pytest.param("model", None, 3, id="truncated-model"),
+    pytest.param("model", lambda d: d["config"].update(
+        use_weighted_vote="false"), 3, id="model-string-vote-switch"),
+    pytest.param("model", lambda d: d["config"].update(n_trees="x"), 3,
+                 id="model-string-n-trees"),
+    pytest.param("model", lambda d: d.update(
+        accuracy_matrix=d["accuracy_matrix"][:4]), 3,
+        id="model-accuracy-matrix-shape"),
+    pytest.param("model", lambda d: _first_leaf(d["trees"][0]).update(
+        label=7), 3, id="model-leaf-label-7"),
+    pytest.param("model", _unmasked_split, 3, id="model-unmasked-feature"),
+])
+def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
+                            code):
+    out, cfg = pipeline_run
     rf, mask = tmp_path / "rf.json", out / "mask.json"
     rf.write_text(json.dumps(payload if kind == "rf" else RF_DOC))
     if kind == "mask":
         mask = tmp_path / "mask.json"
-        mask.write_text(json.dumps({"format": "flowgate-mask-v1",
-                                    "bits": payload}))
+        mask.write_text(json.dumps([1] if payload is None else {
+            "format": "flowgate-mask-v1", "bits": payload}))
     if kind == "model":
         model = tmp_path / "model.json"
-        model.write_bytes((out / "model.json").read_bytes()[:100])
+        if payload is None:
+            model.write_bytes((out / "model.json").read_bytes()[:100])
+        else:
+            doc = json.loads((out / "model.json").read_text())
+            payload(doc)
+            model.write_text(json.dumps(doc))
         args = ["evaluate", "--model", str(model),
                 "--data", str(out / "test.json"),
                 "--out", str(tmp_path / "report.json")]
+    elif kind == "bat":
+        bat = tmp_path / "bat.json"
+        bat.write_text(json.dumps(payload))
+        args = ["select-features", "--data", str(out / "train.json"),
+                "--config", str(bat), "--seed", "0",
+                "--out", str(tmp_path / "mask.json")]
+    elif kind.startswith("pipeline"):
+        doc = dict(cfg, output_dir=str(tmp_path / "run"))
+        doc.update({"bat": payload} if kind == "pipeline-bat" else payload)
+        (tmp_path / "pipeline.json").write_text(json.dumps(doc))
+        args = ["pipeline", "--config", str(tmp_path / "pipeline.json")]
     else:
         args = ["train", "--data", str(out / "train.json"),
                 "--mask", str(mask), "--config", str(rf), "--seed", "0",
                 "--out", str(tmp_path / "model.json")]
     assert main(args) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("flowgate: ") and err.count("\n") == 1, err
 
 
 def test_classify_writes_named_classes(pipeline_run, tmp_path):

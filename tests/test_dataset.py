@@ -1,10 +1,16 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
-from flowgate.dataset import (FlowClass, FlowRecord, N_FEATURES, dataset_hash,
-                              encode, load_dataset, map_attack_to_class,
+from flowgate.cli import cmd_compare
+from flowgate.dataset import (N_CLASSES, FlowClass, FlowRecord, N_FEATURES,
+                              check_doc, dataset_hash, encode, fits,
+                              load_dataset, map_attack_to_class,
                               parse_kdd_csv, save_dataset,
                               stratified_downsample, write_json)
+from flowgate.metrics import evaluate
 
 from conftest import make_kdd_file, make_kdd_line
 
@@ -199,7 +205,7 @@ class TestExchangeFile:
         assert p1.read_bytes() == p2.read_bytes()
         assert dataset_hash(p1) == dataset_hash(p2)
 
-    def test_failed_write_keeps_existing_file(self, tmp_path):
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path = tmp_path / "d.json"
         write_json({"b": 1, "a": [0.5]}, path)
         assert path.read_text() == '{"a":[0.5],"b":1}'
@@ -207,9 +213,56 @@ class TestExchangeFile:
             write_json({"a": object()}, path)
         assert path.read_text() == '{"a":[0.5],"b":1}'
         assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+        # the comparison CSV goes through the same writer: a write that
+        # fails at the final move leaves the old CSV and no temporary file
+        run = tmp_path / "run"
+        run.mkdir()
+        labels = np.arange(N_CLASSES)
+        write_json(evaluate(labels, labels).to_doc(), run / "report.json")
+        csv = tmp_path / "cmp.csv"
+        csv.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_compare(str(run), str(run), str(csv))
+        assert csv.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cmp.csv", "d.json", "run"]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{}")
         with pytest.raises(ValueError, match="not a flowgate dataset"):
             load_dataset(path)
+
+
+class TestCheckDoc:
+    @pytest.mark.parametrize("value, tp, ok", [
+        (True, bool, True), (1, bool, False),
+        (1, int, True), (True, int, False), (1.0, int, False),
+        (2, float, True), (0.5, float, True), (False, float, False),
+        (math.inf, float, False), (math.nan, float, False),
+        ("0.5", float, False),
+        (None, str | None, True), ("sqrt", str | None, True),
+        ([1, 2], tuple[int, ...], True), ([1, "2"], tuple[int, ...], False),
+        ("1,2", tuple[int, ...], False),
+        ([0.5, 1], tuple[float, ...] | None, True),
+        ({}, dict, True), ([], dict, False),
+    ])
+    def test_type_rules(self, value, tp, ok):
+        assert fits(value, tp) is ok
+
+    def test_keys_and_arrays(self):
+        types = {"a": int, "b": tuple[float, ...]}
+        assert check_doc({"b": [1, 0.5]}, types) == {"b": (1, 0.5)}
+        with pytest.raises(ValueError, match=r"unknown keys \['c'\]"):
+            check_doc({"c": 1}, types)
+        with pytest.raises(ValueError, match=r"missing keys \['a'\]"):
+            check_doc({}, types, required=["a"])
+        with pytest.raises(ValueError, match="a must be of type int"):
+            check_doc({"a": "8"}, types)
+        with pytest.raises(ValueError, match="JSON object"):
+            check_doc([1], types)

@@ -8,7 +8,7 @@ from flowgate.wrf import (DEFAULT_CLASS_WEIGHTS, DecisionTree, Forest,
                           ForestConfig, TreeConfig, fit, init_weights,
                           load_forest, predict_batch, roulette_sample,
                           save_forest, score_tree, train_tree,
-                          update_weights, weighted_vote)
+                          update_weights)
 
 from conftest import synthetic_dataset
 
@@ -67,7 +67,7 @@ class TestTrainTree:
         y = np.full(10, 3)
         tree = train_tree(X, y, np.arange(3), TreeConfig(),
                           np.random.default_rng(0))
-        assert tree.depth() == 0
+        assert tree.node_count() == 1
         assert np.all(tree.predict(X) == 3)
 
     def test_separable_threshold(self):
@@ -76,7 +76,7 @@ class TestTrainTree:
         tree = train_tree(X, y, np.array([0]),
                           TreeConfig(min_samples_leaf=1, max_features=None),
                           np.random.default_rng(0))
-        assert tree.depth() == 1
+        assert tree.node_count() == 3
         assert tree.root["threshold"] == pytest.approx(0.7)
         assert np.all(tree.predict(X) == y)
 
@@ -298,22 +298,22 @@ class TestWeightedVote:
     def test_unanimity(self):
         matrix = np.random.default_rng(0).random((5, 3)) + 0.01
         forest = constant_forest([2, 2, 2], matrix)
-        assert weighted_vote(forest, [0.0, 0.0, 0.0]) == 2
+        assert predict_batch(forest, np.zeros((1, 3)))[0] == 2
 
     def test_all_ones_matrix_is_majority_vote(self):
         forest = constant_forest([1, 1, 2], np.ones((5, 3)))
-        assert weighted_vote(forest, [0.0, 0.0, 0.0]) == 1
+        assert predict_batch(forest, np.zeros((1, 3)))[0] == 1
 
     def test_two_tree_score_comparison(self):
         matrix = np.zeros((5, 2))
         matrix[1, 0] = 0.9  # tree 0 accuracy on class 1
         matrix[2, 1] = 0.4  # tree 1 accuracy on class 2
         forest = constant_forest([1, 2], matrix)
-        assert weighted_vote(forest, [0.0, 0.0, 0.0]) == 1
+        assert predict_batch(forest, np.zeros((1, 3)))[0] == 1
 
     def test_tie_goes_to_lowest_code(self):
         forest = constant_forest([3, 1], np.ones((5, 2)))
-        assert weighted_vote(forest, [0.0, 0.0, 0.0]) == 1
+        assert predict_batch(forest, np.zeros((1, 3)))[0] == 1
 
 
 class TestFitAndPredict:
@@ -380,6 +380,18 @@ class TestFitAndPredict:
         with pytest.raises(ValueError, match="feature columns"):
             predict_batch(forest, np.zeros((2, 9)))
         assert predict_batch(forest, np.zeros((0, 6))).size == 0
+
+    @pytest.mark.parametrize("cfg", [
+        ForestConfig(n_trees=0),
+        ForestConfig(tree=TreeConfig(max_depth=0)),
+        ForestConfig(tree=TreeConfig(max_features="log2")),
+        ForestConfig(class_weights=(0.5, 0.5)),
+        ForestConfig(class_weights=(0, 0, 0, 0, 0)),
+    ], ids=["zero-trees", "zero-depth", "log2", "two-weights", "zero-sum"])
+    def test_invalid_config_is_rejected_before_training(self, cfg):
+        ds = synthetic_dataset([10] * 5, seed=0, n_features=6)
+        with pytest.raises(ValueError, match="require"):
+            fit(ds, np.ones(6, dtype=np.uint8), cfg, 0)
 
     def test_tree_error_carries_index(self):
         ds = synthetic_dataset([10, 10, 10, 10, 10], seed=0, n_features=6)
