@@ -273,6 +273,8 @@ def cmd_pipeline(config_path):
         check_doc(doc, PIPELINE_TYPES, required=list(PIPELINE_TYPES)[:6])
     except ValueError as exc:
         raise ConfigError(f"invalid pipeline config: {exc}") from exc
+    for key in ("train_targets", "test_targets"):
+        _check_targets(doc[key], f"pipeline {key}")
     _require_file(doc["train_input"], "training dataset")
     _require_file(doc["test_input"], "test dataset")
     if doc.get("cost_matrix"):
@@ -341,23 +343,33 @@ def cmd_pipeline(config_path):
 COMPARE_METRICS = ("accuracy", "false_alarm_rate", "cost")
 
 
+def _report_metrics(run_dir):
+    """(dataset hash, {metric: value}) of a run's report.json; DataError
+    unless it is an object with every compared metric as a number."""
+    rp = os.path.join(run_dir, "report.json")
+    if not os.path.isfile(rp):
+        raise DataError(f"run {run_dir}: missing report.json")
+    doc = _load_json(rp, "report")
+    try:
+        values = {key: doc[key] for key in COMPARE_METRICS}
+        values.update((f"recall_{c.name}", doc["per_class"][c.name]["recall"])
+                      for c in FlowClass)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{rp}: not a flowgate report ({exc!r})") from None
+    if not all(type(v) in (int, float) for v in values.values()):
+        raise DataError(f"{rp}: a compared metric is not a number")
+    return doc.get("dataset_sha256"), values
+
+
 def cmd_compare(dir_a, dir_b, out_path=None):
-    reports = []
-    for d in (dir_a, dir_b):
-        rp = os.path.join(d, "report.json")
-        if not os.path.isfile(rp):
-            raise DataError(f"run {d}: missing report.json")
-        reports.append(_load_json(rp, "report"))
-    if reports[0].get("dataset_sha256") != reports[1].get("dataset_sha256"):
+    (hash_a, a), (hash_b, b) = _report_metrics(dir_a), _report_metrics(dir_b)
+    if hash_a != hash_b:
         raise DataError(
             "runs were evaluated on different test sets "
             f"({dir_a} vs {dir_b}); refusing to compare")
-    pairs = [(key, [r[key] for r in reports]) for key in COMPARE_METRICS]
-    pairs += [(f"recall_{c.name}", [r["per_class"][c.name]["recall"]
-                                    for r in reports]) for c in FlowClass]
     rows = [("metric", dir_a, dir_b, "delta")] + [
-        (key, f"{a:.6f}", f"{b:.6f}", f"{a - b:+.6f}")
-        for key, (a, b) in pairs]
+        (key, f"{a[key]:.6f}", f"{b[key]:.6f}", f"{a[key] - b[key]:+.6f}")
+        for key in a]
     csv_text = "\n".join(",".join(r) for r in rows) + "\n"
     if out_path:
         write_text(csv_text, out_path)
@@ -369,16 +381,19 @@ def cmd_compare(dir_a, dir_b, out_path=None):
 
 # ------------------------------------------------------------------ main
 
+def _check_targets(targets, what="targets"):
+    if len(targets) != N_CLASSES or any(t < 0 for t in targets):
+        raise ConfigError(f"{what} must be 5 non-negative integers, "
+                          f"got {list(targets)}")
+    return targets
+
+
 def _parse_targets(text):
     try:
-        targets = [int(v) for v in text.split(",")]
+        return _check_targets([int(v) for v in text.split(",")])
     except ValueError:
         raise ConfigError(f"targets must be 5 comma-separated integers, "
                           f"got {text!r}") from None
-    if len(targets) != N_CLASSES or any(t < 0 for t in targets):
-        raise ConfigError(f"targets must be 5 non-negative integers, "
-                          f"got {text!r}")
-    return targets
 
 
 def build_parser():

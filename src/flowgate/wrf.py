@@ -108,77 +108,86 @@ def _leaf(y):
     return {"label": int(np.argmax(hist)), "hist": [int(c) for c in hist]}
 
 
-def _best_split(X, y, cols, min_leaf):
-    """Best (impurity decrease, column, threshold) over candidate columns.
-
-    Thresholds are midpoints between sorted distinct values; ties go to the
-    lowest column then lowest threshold.
-    """
-    n = y.size
-    parent_counts = np.bincount(y, minlength=N_CLASSES).astype(np.float64)
-    parent_gini = 1.0 - np.sum((parent_counts / n) ** 2)
-    best = None  # (decrease, col position, threshold)
-    onehot = np.zeros((n, N_CLASSES), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
-    for c in cols:
-        x = X[:, c]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        left = np.cumsum(onehot[order], axis=0)
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        nl = (cut + 1).astype(np.float64)
-        nr = n - nl
-        ok = (nl >= min_leaf) & (nr >= min_leaf)
-        if not ok.any():
-            continue
-        cut, nl, nr = cut[ok], nl[ok], nr[ok]
-        lc = left[cut]
-        rc = parent_counts - lc
-        gini_l = 1.0 - np.sum(lc ** 2, axis=1) / nl ** 2
-        gini_r = 1.0 - np.sum(rc ** 2, axis=1) / nr ** 2
-        decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmax(decrease))
-        if decrease[k] <= 0:
-            continue
-        thr = (xs[cut[k]] + xs[cut[k] + 1]) / 2.0
-        if best is None or decrease[k] > best[0]:
-            best = (decrease[k], c, thr)
-    return best
+# most (column, row) cells a node scores at once: bounds the temporaries at
+# the root, while a deep node scores all its columns in one pass
+SPLIT_CHUNK = 1 << 15
 
 
 def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
     """Grow a CART on (X, y); X columns correspond to feature_ids in the
-    original feature space, which is what split nodes record."""
-    X = np.asarray(X, dtype=np.float64)
+    original feature space, which is what split nodes record.
+
+    Each column is argsorted once. A node owns the segment [lo, hi) of
+    every column's row order, and a split partitions that segment stably,
+    so both children stay sorted. Thresholds are midpoints between adjacent
+    distinct values; ties go to the lowest column, then lowest threshold.
+    """
+    XT = np.asarray(X, dtype=np.float64).T.copy()
     y = np.asarray(y, dtype=np.int64)
     if y.size == 0:
         raise ValueError("cannot train a tree on an empty bootstrap")
-    d = X.shape[1]
+    d = XT.shape[0]
     feature_ids = np.asarray(feature_ids, dtype=np.int64)
     mtry = int(math.ceil(math.sqrt(d))) if cfg.max_features == "sqrt" else d
-
-    def grow(idx, depth):
-        ysub = y[idx]
-        if (depth >= cfg.max_depth or idx.size < 2 * cfg.min_samples_leaf
-                or np.all(ysub == ysub[0])):
-            return _leaf(ysub)
+    leaf = cfg.min_samples_leaf
+    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    go_left = np.zeros(y.size, dtype=bool)
+    top = {}
+    # an explicit stack, popped left child first: nodes are grown, and
+    # rng.choice drawn, in pre-order
+    stack = [(0, y.size, 0, top, "root")]
+    while stack:
+        lo, hi, depth, parent, key = stack.pop()
+        n = hi - lo
+        ysub = y[order[0, lo:hi]]
+        if depth >= cfg.max_depth or n < 2 * leaf or np.all(ysub == ysub[0]):
+            parent[key] = _leaf(ysub)
+            continue
         cols = np.sort(rng.choice(d, size=mtry, replace=False)) \
             if mtry < d else np.arange(d)
-        split = _best_split(X[idx], ysub, cols, cfg.min_samples_leaf)
-        if split is None:
-            return _leaf(ysub)
-        _, c, thr = split
-        go_left = X[idx, c] <= thr
-        return {
-            "feature": int(feature_ids[c]),
-            "threshold": float(thr),
-            "left": grow(idx[go_left], depth + 1),
-            "right": grow(idx[~go_left], depth + 1),
-        }
-
-    return DecisionTree(grow(np.arange(y.size), 0))
+        counts = np.bincount(ysub, minlength=N_CLASSES).astype(np.float64)
+        parent_gini = 1.0 - np.sum((counts / n) ** 2)
+        best, c, thr = 0.0, None, None
+        step = max(1, SPLIT_CHUNK // n)
+        for s in range(0, mtry, step):
+            cs = cols[s:s + step]
+            rows = order[cs, lo:hi]
+            xs = XT[cs[:, None], rows]
+            # cuts between distinct values with >= leaf rows on each side
+            ci, pi = np.nonzero(xs[:, leaf - 1:n - leaf]
+                                < xs[:, leaf:n - leaf + 1])
+            if ci.size == 0:
+                continue
+            pi += leaf - 1
+            lc = np.cumsum(y[rows][:, :, None] == np.arange(N_CLASSES),
+                           axis=1, dtype=np.int32)[ci, pi].astype(np.float64)
+            nl = (pi + 1).astype(np.float64)
+            nr = n - nl
+            rc = counts - lc
+            # integer counts: the sums of squares are exact in any order
+            gini_l = 1.0 - np.einsum("ij,ij->i", lc, lc) / nl ** 2
+            gini_r = 1.0 - np.einsum("ij,ij->i", rc, rc) / nr ** 2
+            decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
+            k = int(np.argmax(decrease))
+            if decrease[k] > best:
+                best, c = decrease[k], cs[ci[k]]
+                thr = (xs[ci[k], pi[k]] + xs[ci[k], pi[k] + 1]) / 2.0
+        if c is None:
+            parent[key] = _leaf(ysub)
+            continue
+        rows = order[c, lo:hi]
+        go_left[rows] = XT[c, rows] <= thr
+        seg = order[:, lo:hi]
+        mark = go_left[seg]
+        mid = lo + int(np.count_nonzero(mark[0]))
+        order[:, lo:hi] = np.concatenate((seg[mark].reshape(d, -1),
+                                          seg[~mark].reshape(d, -1)), axis=1)
+        node = parent[key] = {"feature": int(feature_ids[c]),
+                              "threshold": float(thr),
+                              "left": None, "right": None}
+        stack.append((mid, hi, depth + 1, node, "right"))
+        stack.append((lo, mid, depth + 1, node, "left"))
+    return DecisionTree(top["root"])
 
 
 def init_weights(labels, class_weights=None) -> np.ndarray:

@@ -201,6 +201,16 @@ BAD_BAT_DOCS = [
                  id="pipeline-string-target"),
     pytest.param("pipeline", {"rf": []}, 2, id="pipeline-array-rf"),
     pytest.param("pipeline", {"extra": 1}, 2, id="pipeline-unknown-key"),
+    pytest.param("pipeline", {"train_targets": [1, 2]}, 2,
+                 id="pipeline-two-targets"),
+    pytest.param("pipeline", {"test_targets": [5, 5, -1, 5, 5]}, 2,
+                 id="pipeline-negative-target"),
+    pytest.param("report", lambda d: {k: v for k, v in d.items()
+                                      if k != "cost"}, 3,
+                 id="report-missing-metric"),
+    pytest.param("report", lambda d: [d], 3, id="report-array"),
+    pytest.param("report", lambda d: dict(d, accuracy="0.9"), 3,
+                 id="report-string-metric"),
     pytest.param("mask", "2" + "1" * 40, 3, id="mask-bit-2"),
     pytest.param("mask", None, 3, id="mask-array"),
     pytest.param("model", None, 3, id="truncated-model"),
@@ -241,6 +251,11 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
         args = ["select-features", "--data", str(out / "train.json"),
                 "--config", str(bat), "--seed", "0",
                 "--out", str(tmp_path / "mask.json")]
+    elif kind == "report":
+        doc = json.loads((out / "report.json").read_text())
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "report.json").write_text(json.dumps(payload(doc)))
+        args = ["compare", str(out), str(tmp_path / "run")]
     elif kind.startswith("pipeline"):
         doc = dict(cfg, output_dir=str(tmp_path / "run"))
         doc.update({"bat": payload} if kind == "pipeline-bat" else payload)

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
+from flowgate import wrf
 from flowgate.wrf import (DEFAULT_CLASS_WEIGHTS, DecisionTree, Forest,
                           ForestConfig, TreeConfig, fit, init_weights,
                           load_forest, predict_batch, roulette_sample,
@@ -111,6 +113,112 @@ class TestTrainTree:
         tree = train_tree(X, y, np.arange(2), TreeConfig(),
                           np.random.default_rng(0))
         assert tree.root["label"] == 1
+
+    def test_leaves_no_reference_cycle(self):
+        ds = synthetic_dataset([20] * 5, seed=3, n_features=10)
+        gc.collect()
+        gc.disable()
+        try:
+            train_tree(ds.X, ds.y, np.arange(10), TreeConfig(),
+                       np.random.default_rng(5))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def reference_tree(X, y, feature_ids, cfg, rng):
+    """The per-node learner train_tree replaced: every node argsorts each
+    candidate column of its own rows. The oracle for exactness."""
+    def best_split(X, y, cols):
+        n = y.size
+        parent_counts = np.bincount(y, minlength=5).astype(np.float64)
+        parent_gini = 1.0 - np.sum((parent_counts / n) ** 2)
+        best = None
+        onehot = np.zeros((n, 5))
+        onehot[np.arange(n), y] = 1.0
+        for c in cols:
+            order = np.argsort(X[:, c], kind="stable")
+            xs = X[order, c]
+            left = np.cumsum(onehot[order], axis=0)
+            cut = np.flatnonzero(xs[:-1] < xs[1:])
+            nl = (cut + 1).astype(np.float64)
+            leaf = cfg.min_samples_leaf
+            ok = (nl >= leaf) & (n - nl >= leaf)
+            if not ok.any():
+                continue
+            cut, nl = cut[ok], nl[ok]
+            nr = n - nl
+            lc = left[cut]
+            rc = parent_counts - lc
+            gini_l = 1.0 - np.sum(lc ** 2, axis=1) / nl ** 2
+            gini_r = 1.0 - np.sum(rc ** 2, axis=1) / nr ** 2
+            decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
+            k = int(np.argmax(decrease))
+            if decrease[k] > 0 and (best is None or decrease[k] > best[0]):
+                best = (decrease[k], c, (xs[cut[k]] + xs[cut[k] + 1]) / 2.0)
+        return best
+
+    def leaf(ysub):
+        hist = np.bincount(ysub, minlength=5)
+        return {"label": int(np.argmax(hist)), "hist": [int(c) for c in hist]}
+
+    d = X.shape[1]
+    mtry = math.ceil(math.sqrt(d)) if cfg.max_features == "sqrt" else d
+
+    def grow(idx, depth):
+        ysub = y[idx]
+        if (depth >= cfg.max_depth or idx.size < 2 * cfg.min_samples_leaf
+                or np.all(ysub == ysub[0])):
+            return leaf(ysub)
+        cols = np.sort(rng.choice(d, size=mtry, replace=False)) \
+            if mtry < d else np.arange(d)
+        split = best_split(X[idx], ysub, cols)
+        if split is None:
+            return leaf(ysub)
+        _, c, thr = split
+        go_left = X[idx, c] <= thr
+        return {"feature": int(feature_ids[c]), "threshold": float(thr),
+                "left": grow(idx[go_left], depth + 1),
+                "right": grow(idx[~go_left], depth + 1)}
+
+    return grow(np.arange(y.size), 0)
+
+
+def oracle_cases():
+    """Seeded inputs of 1 to 300 rows: heavily tied integer columns, a
+    constant column, a continuous column, in every other case a copy of
+    column 0 (tied decreases), and in every third case a column whose
+    midpoint rounds onto the upper value, so all rows go left."""
+    for seed, n in enumerate([1, 2, 3, 1, 2, 3, 12, 40, 40, 150, 300, 300]):
+        rng = np.random.default_rng([seed, n])
+        X = rng.integers(0, rng.integers(2, 6), size=(n, 6)).astype(float)
+        X[:, 2] = 7.0
+        X[:, 4] = rng.normal(size=n)
+        if seed % 2:
+            X[:, 3] = X[:, 0]
+        if seed % 3 == 0:
+            X[:, 5] = np.where(rng.random(n) < 0.5, 1.0 + 2.0 ** -52,
+                               1.0 + 2.0 ** -51)
+        y = rng.integers(0, rng.integers(1, 6), size=n)
+        yield X, y
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("max_depth", [1, 20])
+@pytest.mark.parametrize("max_features", [None, "sqrt"])
+@pytest.mark.parametrize("chunk", [wrf.SPLIT_CHUNK, 1])
+def test_train_tree_matches_per_node_reference(min_leaf, max_depth,
+                                               max_features, chunk,
+                                               monkeypatch):
+    # chunk 1 scores one column at a time, so ties cross chunk boundaries
+    monkeypatch.setattr(wrf, "SPLIT_CHUNK", chunk)
+    cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf,
+                     max_features=max_features)
+    ids = np.array([3, 5, 8, 13, 21, 34])
+    for i, (X, y) in enumerate(oracle_cases()):
+        expected = reference_tree(X, y, ids, cfg, np.random.default_rng(i))
+        got = train_tree(X, y, ids, cfg, np.random.default_rng(i))
+        assert got.root == expected, f"case {i}"
 
 
 class TestTreeAccuracy:
