@@ -54,7 +54,7 @@ def _load_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -207,7 +207,8 @@ def _load_checked(load, path, what):
     _require_file(path, what)
     try:
         return load(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError, OverflowError) as exc:
         raise DataError(f"cannot load {what} {path}: {exc}") from exc
 
 

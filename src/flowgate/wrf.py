@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import (N_CLASSES, EncodedDataset, check_doc, field_types,
                       write_json)
 
-MODEL_FORMAT = "flowgate-model-v1"
+MODEL_FORMAT = "flowgate-model-v2"
 
 # class priors stated for the five-class split: Normal, Probe, DoS, U2R, R2L
 DEFAULT_CLASS_WEIGHTS = (0.3, 0.15, 0.35, 0.05, 0.15)
@@ -68,45 +68,38 @@ CONFIG_TYPES = {k: t for k, t in field_types(TreeConfig, ForestConfig).items()
                 if k != "tree"}
 
 
+@dataclass
 class DecisionTree:
-    """Greedy Gini CART over a selected-feature subset.
+    """Greedy Gini CART over a selected-feature subset as five parallel
+    lists, one entry per node in pre-order, node 0 the root. A leaf has
+    left -1 and predicts its label. Split i has label -1 and sends rows with
+    X[:, feature[i]] <= threshold[i] to left[i] == i + 1, else to right[i]."""
 
-    Nodes are nested dicts: internal {"feature", "threshold", "left",
-    "right"} with feature indices in the original 41-feature space, leaves
-    {"label", "hist"}.
-    """
-
-    def __init__(self, root):
-        self.root = root
+    feature: list
+    threshold: list
+    left: list
+    right: list
+    label: list
 
     def predict(self, X):
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(X.shape[0], dtype=np.int64)
-        self._route(self.root, np.arange(X.shape[0]), X, out)
+        stack = [(0, np.arange(X.shape[0]))]
+        while stack:
+            i, idx = stack.pop()
+            if idx.size and self.left[i] == -1:
+                out[idx] = self.label[i]
+            elif idx.size:
+                go_left = X[idx, self.feature[i]] <= self.threshold[i]
+                stack.append((self.right[i], idx[~go_left]))
+                stack.append((self.left[i], idx[go_left]))
         return out
 
-    def _route(self, node, idx, X, out):
-        if idx.size == 0:
-            return
-        if "label" in node:
-            out[idx] = node["label"]
-            return
-        go_left = X[idx, node["feature"]] <= node["threshold"]
-        self._route(node["left"], idx[go_left], X, out)
-        self._route(node["right"], idx[~go_left], X, out)
-
     def node_count(self):
-        def walk(node):
-            if "label" in node:
-                return 1
-            return 1 + walk(node["left"]) + walk(node["right"])
-        return walk(self.root)
+        return len(self.left)
 
 
-def _leaf(y):
-    hist = np.bincount(y, minlength=N_CLASSES)
-    return {"label": int(np.argmax(hist)), "hist": [int(c) for c in hist]}
-
+TREE_TYPES = field_types(DecisionTree)  # the arrays of a model file's tree
 
 # most (column, row) cells a node scores at once: bounds the temporaries at
 # the root, while a deep node scores all its columns in one pass
@@ -132,20 +125,22 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
     leaf = cfg.min_samples_leaf
     order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
     go_left = np.zeros(y.size, dtype=bool)
-    top = {}
+    nodes = []  # [feature, threshold, left, right, label] per node
     # an explicit stack, popped left child first: nodes are grown, and
-    # rng.choice drawn, in pre-order
-    stack = [(0, y.size, 0, top, "root")]
+    # rng.choice drawn, in pre-order; a right child sets its parent's right
+    stack = [(0, y.size, 0, -1)]
     while stack:
-        lo, hi, depth, parent, key = stack.pop()
+        lo, hi, depth, parent = stack.pop()
+        i = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = i
         n = hi - lo
-        ysub = y[order[0, lo:hi]]
-        if depth >= cfg.max_depth or n < 2 * leaf or np.all(ysub == ysub[0]):
-            parent[key] = _leaf(ysub)
+        counts = np.bincount(y[order[0, lo:hi]], minlength=N_CLASSES)
+        nodes.append([-1, 0.0, -1, -1, int(np.argmax(counts))])  # a leaf
+        if depth >= cfg.max_depth or n < 2 * leaf or counts.max() == n:
             continue
         cols = np.sort(rng.choice(d, size=mtry, replace=False)) \
             if mtry < d else np.arange(d)
-        counts = np.bincount(ysub, minlength=N_CLASSES).astype(np.float64)
         parent_gini = 1.0 - np.sum((counts / n) ** 2)
         best, c, thr = 0.0, None, None
         step = max(1, SPLIT_CHUNK // n)
@@ -173,7 +168,6 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
                 best, c = decrease[k], cs[ci[k]]
                 thr = (xs[ci[k], pi[k]] + xs[ci[k], pi[k] + 1]) / 2.0
         if c is None:
-            parent[key] = _leaf(ysub)
             continue
         rows = order[c, lo:hi]
         go_left[rows] = XT[c, rows] <= thr
@@ -182,12 +176,10 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
         mid = lo + int(np.count_nonzero(mark[0]))
         order[:, lo:hi] = np.concatenate((seg[mark].reshape(d, -1),
                                           seg[~mark].reshape(d, -1)), axis=1)
-        node = parent[key] = {"feature": int(feature_ids[c]),
-                              "threshold": float(thr),
-                              "left": None, "right": None}
-        stack.append((mid, hi, depth + 1, node, "right"))
-        stack.append((lo, mid, depth + 1, node, "left"))
-    return DecisionTree(top["root"])
+        nodes[i] = [int(feature_ids[c]), float(thr), i + 1, -1, -1]
+        stack.append((mid, hi, depth + 1, i))
+        stack.append((lo, mid, depth + 1, -1))
+    return DecisionTree(*map(list, zip(*nodes)))
 
 
 def init_weights(labels, class_weights=None) -> np.ndarray:
@@ -353,14 +345,25 @@ def config_from_doc(doc: dict, make=ForestConfig) -> ForestConfig:
     return cfg
 
 
-def _check_node(node, allowed):
-    """ValueError unless each node's label or feature is an int in allowed."""
-    key = "label" if "label" in node else "feature"
-    if type(node[key]) is not int or node[key] not in allowed[key]:
-        raise ValueError(f"tree node {key} {node[key]!r} is out of range")
-    if key == "feature":
-        _check_node(node["left"], allowed)
-        _check_node(node["right"], allowed)
+def _tree_from_doc(doc, m, features) -> DecisionTree:
+    """Tree m of a model file; ValueError unless it is one tree in which
+    every node but the root is the child of exactly one earlier node."""
+    check_doc(doc, TREE_TYPES, required=TREE_TYPES)
+    ints = [doc[k] for k in TREE_TYPES if k != "threshold"]
+    if not (doc["left"] and len({len(a) for a in doc.values()}) == 1
+            and all(set(map(type, a)) == {int} for a in ints)
+            and set(map(type, doc["threshold"])) == {float}):
+        raise ValueError(f"tree {m}: node arrays empty, ragged or mistyped")
+    feature, left, right, label = np.array(ints)
+    split = left != -1
+    kids = np.concatenate((left[split], right[split]))
+    if not (np.all(kids > np.tile(np.flatnonzero(split), 2))
+            and np.array_equal(np.sort(kids), np.arange(1, left.size))):
+        raise ValueError(f"tree {m}: a node lacks a unique earlier parent")
+    if not (np.isin(feature[split], features).all()
+            and np.all((label[~split] >= 0) & (label[~split] < N_CLASSES))):
+        raise ValueError(f"tree {m}: split feature or leaf label out of range")
+    return DecisionTree(**doc)
 
 
 def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
@@ -373,7 +376,7 @@ def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
         "mask": forest.mask.tolist(),
         "accuracy_matrix": forest.accuracy_matrix.tolist(),
         "config": config,
-        "trees": [t.root for t in forest.trees],
+        "trees": [vars(t) for t in forest.trees],
     }
     if extra:
         doc.update(extra)
@@ -385,23 +388,18 @@ def load_forest(path) -> Forest:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a flowgate model file")
-    # files saved before invert_majority_beta was removed still carry it
-    config = check_doc(doc["config"],
-                       dict(CONFIG_TYPES, invert_majority_beta=bool),
-                       required=CONFIG_TYPES)
-    config.pop("invert_majority_beta", None)
+        raise ValueError(f"{path}: not a flowgate model file: format "
+                         f"{doc.get('format')!r}, expected {MODEL_FORMAT!r}")
+    config = check_doc(doc["config"], CONFIG_TYPES, required=CONFIG_TYPES)
+    mask = np.array(doc["mask"], dtype=np.uint8)
     forest = Forest(
-        trees=[DecisionTree(root) for root in doc["trees"]],
+        trees=[_tree_from_doc(t, m, np.flatnonzero(mask))
+               for m, t in enumerate(doc["trees"])],
         accuracy_matrix=np.array(doc["accuracy_matrix"], dtype=np.float64),
-        mask=np.array(doc["mask"], dtype=np.uint8),
+        mask=mask,
         config=config_from_doc(config),
     )
     if forest.accuracy_matrix.shape != (N_CLASSES, forest.n_trees):
         raise ValueError(f"accuracy matrix does not fit {forest.n_trees} "
                          f"trees: shape {forest.accuracy_matrix.shape}")
-    allowed = {"label": set(range(N_CLASSES)),
-               "feature": set(np.flatnonzero(forest.mask).tolist())}
-    for tree in forest.trees:
-        _check_node(tree.root, allowed)
     return forest

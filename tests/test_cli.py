@@ -137,16 +137,27 @@ def test_train_rejects_foreign_mask_file(pipeline_run, tmp_path):
     assert rc == 3
 
 
-def _first_leaf(node):
-    while "label" not in node:
-        node = node["left"]
-    return node
+def _first_leaf(tree):
+    return tree["left"].index(-1)
+
+
+def _set_node(key, node, value):
+    """A model payload: value into array key at index node of the first
+    tree; node and value may be functions of that tree."""
+    def payload(doc):
+        tree = doc["trees"][0]
+        assert tree["left"][0] != -1, "the root must be a split"
+        at = node(tree) if callable(node) else node
+        tree[key][at] = value(tree) if callable(value) else value
+    return payload
 
 
 def _unmasked_split(doc):
-    root = doc["trees"][0]
-    assert "feature" in root
-    root["feature"] = doc["mask"].index(0) if 0 in doc["mask"] else 41
+    feature = doc["mask"].index(0) if 0 in doc["mask"] else 41
+    _set_node("feature", 0, feature)(doc)
+
+
+DEEP_JSON = "[" * 200000 + "]" * 200000
 
 
 BAD_BAT_DOCS = [
@@ -221,15 +232,30 @@ BAD_BAT_DOCS = [
     pytest.param("model", lambda d: d.update(
         accuracy_matrix=d["accuracy_matrix"][:4]), 3,
         id="model-accuracy-matrix-shape"),
-    pytest.param("model", lambda d: _first_leaf(d["trees"][0]).update(
-        label=7), 3, id="model-leaf-label-7"),
+    pytest.param("model", _set_node("label", _first_leaf, 7), 3,
+                 id="model-leaf-label-7"),
     pytest.param("model", _unmasked_split, 3, id="model-unmasked-feature"),
+    pytest.param("model", lambda d: d.update(format="flowgate-model-v1"), 3,
+                 id="model-v1-format"),
+    pytest.param("model", _set_node("right", 0, 0), 3,
+                 id="model-child-backwards"),
+    pytest.param("model", _set_node("right", 0, lambda t: len(t["left"])), 3,
+                 id="model-child-out-of-range"),
+    pytest.param("model", lambda d: d["trees"][0]["threshold"].pop(), 3,
+                 id="model-ragged-tree"),
+    pytest.param("model", _set_node("label", _first_leaf, True), 3,
+                 id="model-boolean-label"),
+    pytest.param("model", lambda d: d["mask"].__setitem__(0, 256), 3,
+                 id="model-mask-256"),
+    pytest.param("model", DEEP_JSON, 3, id="deep-json-model"),
+    pytest.param("rf", DEEP_JSON, 2, id="deep-json-rf-config"),
 ])
 def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
                             code):
     out, cfg = pipeline_run
     rf, mask = tmp_path / "rf.json", out / "mask.json"
-    rf.write_text(json.dumps(payload if kind == "rf" else RF_DOC))
+    rf_doc = payload if kind == "rf" else RF_DOC
+    rf.write_text(rf_doc if isinstance(rf_doc, str) else json.dumps(rf_doc))
     if kind == "mask":
         mask = tmp_path / "mask.json"
         mask.write_text(json.dumps([1] if payload is None else {
@@ -238,6 +264,8 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
         model = tmp_path / "model.json"
         if payload is None:
             model.write_bytes((out / "model.json").read_bytes()[:100])
+        elif isinstance(payload, str):
+            model.write_text(payload)
         else:
             doc = json.loads((out / "model.json").read_text())
             payload(doc)

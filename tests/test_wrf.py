@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowgate import wrf
+from flowgate.dataset import EncodedDataset
 from flowgate.wrf import (DEFAULT_CLASS_WEIGHTS, DecisionTree, Forest,
                           ForestConfig, TreeConfig, fit, init_weights,
                           load_forest, predict_batch, roulette_sample,
@@ -79,7 +80,9 @@ class TestTrainTree:
                           TreeConfig(min_samples_leaf=1, max_features=None),
                           np.random.default_rng(0))
         assert tree.node_count() == 3
-        assert tree.root["threshold"] == pytest.approx(0.7)
+        assert tree.threshold[0] == pytest.approx(0.7)
+        assert (tree.left, tree.right, tree.label) == (
+            [1, -1, -1], [2, -1, -1], [-1, 0, 1])
         assert np.all(tree.predict(X) == y)
 
     def test_deterministic(self):
@@ -88,7 +91,7 @@ class TestTrainTree:
                        np.random.default_rng(5))
         b = train_tree(ds.X, ds.y, np.arange(10), TreeConfig(),
                        np.random.default_rng(5))
-        assert a.root == b.root
+        assert a == b
 
     def test_perfect_fit_on_consistent_data(self):
         rng = np.random.default_rng(9)
@@ -101,10 +104,12 @@ class TestTrainTree:
         assert np.all(tree.predict(X) == y)
 
     def test_unreachable_branch_is_not_visited(self):
-        # the right subtree is malformed, but no row reaches it
-        tree = DecisionTree({"feature": 0, "threshold": 0.5,
-                             "left": {"label": 2, "hist": [0] * 5},
-                             "right": {"threshold": 1.0}})
+        # the right subtree splits on a column X lacks and holds an
+        # out-of-range label, but no row reaches it
+        tree = DecisionTree(feature=[0, -1, 99, -1, -1],
+                            threshold=[0.5, 0.0, 1.0, 0.0, 0.0],
+                            left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
+                            label=[-1, 2, -1, 7, 7])
         assert np.all(tree.predict(np.zeros((3, 1))) == 2)
 
     def test_leaf_tie_goes_to_lowest_code(self):
@@ -112,18 +117,45 @@ class TestTrainTree:
         y = np.array([1, 1, 3, 3])
         tree = train_tree(X, y, np.arange(2), TreeConfig(),
                           np.random.default_rng(0))
-        assert tree.root["label"] == 1
+        assert tree.label == [1]
 
     def test_leaves_no_reference_cycle(self):
         ds = synthetic_dataset([20] * 5, seed=3, n_features=10)
         gc.collect()
         gc.disable()
         try:
-            train_tree(ds.X, ds.y, np.arange(10), TreeConfig(),
-                       np.random.default_rng(5))
+            tree = train_tree(ds.X, ds.y, np.arange(10), TreeConfig(),
+                              np.random.default_rng(5))
+            assert gc.collect() == 0
+            tree.node_count()
+            assert gc.collect() == 0
+            tree.predict(ds.X)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_chain_tree_deeper_than_the_recursion_limit(self, tmp_path):
+        # alternating labels on one column: every split peels off one row,
+        # so the tree is a chain of 1499 splits
+        X = np.arange(1500)[:, None]
+        y = np.arange(1500) % 2
+        cfg = TreeConfig(max_depth=10**6, min_samples_leaf=1)
+        tree = train_tree(X, y, np.array([0]), cfg, np.random.default_rng(0))
+        assert np.array_equal(tree.predict(X), y)
+        assert tree.node_count() == len(tree.left) == 2999
+        # fit needs every class and grows on a bootstrap: five copies of
+        # each row keep nearly every value in it, so its tree is a chain too
+        ds = EncodedDataset(X=np.repeat(np.arange(1503.0), 5)[:, None],
+                            y=np.repeat(np.r_[y, 2, 3, 4], 5),
+                            feature_names=["x"], encoders={})
+        forest = fit(ds, np.ones(1, dtype=np.uint8),
+                     ForestConfig(n_trees=1, tree=cfg, class_weights=None),
+                     seed=0)
+        assert forest.trees[0].node_count() > 2000
+        path = tmp_path / "chain.json"
+        save_forest(forest, path)
+        assert np.array_equal(predict_batch(load_forest(path), ds.X),
+                              predict_batch(forest, ds.X))
 
 
 def reference_tree(X, y, feature_ids, cfg, rng):
@@ -184,6 +216,27 @@ def reference_tree(X, y, feature_ids, cfg, rng):
     return grow(np.arange(y.size), 0)
 
 
+def flatten(node):
+    """reference_tree's nested dicts as train_tree's five pre-order lists."""
+    tree = DecisionTree([], [], [], [], [])
+
+    def visit(node):
+        i = len(tree.left)
+        leaf = "label" in node
+        tree.feature.append(-1 if leaf else node["feature"])
+        tree.threshold.append(0.0 if leaf else node["threshold"])
+        tree.left.append(-1 if leaf else i + 1)
+        tree.right.append(-1)
+        tree.label.append(node["label"] if leaf else -1)
+        if not leaf:
+            visit(node["left"])
+            tree.right[i] = len(tree.left)
+            visit(node["right"])
+
+    visit(node)
+    return tree
+
+
 def oracle_cases():
     """Seeded inputs of 1 to 300 rows: heavily tied integer columns, a
     constant column, a continuous column, in every other case a copy of
@@ -218,7 +271,7 @@ def test_train_tree_matches_per_node_reference(min_leaf, max_depth,
     for i, (X, y) in enumerate(oracle_cases()):
         expected = reference_tree(X, y, ids, cfg, np.random.default_rng(i))
         got = train_tree(X, y, ids, cfg, np.random.default_rng(i))
-        assert got.root == expected, f"case {i}"
+        assert got == flatten(expected), f"case {i}"
 
 
 class TestTreeAccuracy:
@@ -380,7 +433,7 @@ class TestPerClassAccuracy:
 
     def test_constant_tree(self):
         ds = synthetic_dataset([10] * 5, seed=1, n_features=4)
-        tree = DecisionTree({"label": 0, "hist": [0] * 5})
+        tree = leaf_tree(0)
         _, row = score_tree(tree.predict(ds.X), ds.y)
         assert row[0] == 1.0
         assert np.all(row[1:] == 0.0)
@@ -388,14 +441,17 @@ class TestPerClassAccuracy:
     def test_absent_class_is_error(self):
         ds = synthetic_dataset([5, 5, 5, 5, 5], seed=0, n_features=4)
         ds.y[ds.y == 4] = 3
-        tree = DecisionTree({"label": 0, "hist": [0] * 5})
+        tree = leaf_tree(0)
         with pytest.raises(ValueError, match="class 4"):
             score_tree(tree.predict(ds.X), ds.y)
 
 
+def leaf_tree(label):
+    return DecisionTree([-1], [0.0], [-1], [-1], [label])
+
+
 def constant_forest(labels_per_tree, matrix):
-    trees = [DecisionTree({"label": int(c), "hist": [0] * 5})
-             for c in labels_per_tree]
+    trees = [leaf_tree(int(c)) for c in labels_per_tree]
     return Forest(trees=trees,
                   accuracy_matrix=np.asarray(matrix, dtype=np.float64),
                   mask=np.ones(3, dtype=np.uint8),
@@ -438,22 +494,16 @@ class TestFitAndPredict:
         a = fit(ds, mask, ForestConfig(n_trees=5), seed=3)
         b = fit(ds, mask, ForestConfig(n_trees=5), seed=3)
         assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix)
-        assert all(x.root == y.root for x, y in zip(a.trees, b.trees))
+        assert a.trees == b.trees
 
     def test_mask_restricts_splits(self):
         ds = synthetic_dataset([20] * 5, seed=5, n_features=10)
         mask = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0], dtype=np.uint8)
         forest = fit(ds, mask, ForestConfig(n_trees=3), seed=0)
         allowed = set(np.flatnonzero(mask))
-
-        def features(node):
-            if "label" in node:
-                return set()
-            return ({node["feature"]} | features(node["left"])
-                    | features(node["right"]))
-
         for tree in forest.trees:
-            assert features(tree.root) <= allowed
+            assert {f for f, kid in zip(tree.feature, tree.left)
+                    if kid != -1} <= allowed
 
     def test_weight_history_invariants(self):
         ds = synthetic_dataset([30, 10, 40, 5, 15], seed=6, n_features=6)
@@ -523,13 +573,13 @@ class TestPersistence:
         path2 = tmp_path / "model2.json"
         save_forest(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
-        # model files written before the invert_majority_beta knob was
-        # removed still carry it
+        # nested-dict model files are not read
         doc = json.loads(path.read_text())
-        doc["config"]["invert_majority_beta"] = False
+        doc["format"] = "flowgate-model-v1"
         path.write_text(json.dumps(doc))
-        assert np.array_equal(predict_batch(load_forest(path), ds.X),
-                              predict_batch(forest, ds.X))
+        with pytest.raises(ValueError, match="flowgate-model-v1.*"
+                           "flowgate-model-v2"):
+            load_forest(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
