@@ -49,13 +49,13 @@ def _config_hash(doc) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _load_json(path, what):
+def _load_json(path, what, error=ConfigError):
     _require_file(path, what)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------- configs
@@ -194,7 +194,7 @@ def cmd_select_features(data_path, config_doc, seed, out_path):
 
 
 def load_mask(path) -> np.ndarray:
-    doc = _load_json(path, "feature mask")
+    doc = _load_json(path, "feature mask", DataError)
     if not isinstance(doc, dict) or doc.get("format") != MASK_FORMAT:
         raise DataError(f"{path}: not a flowgate mask file")
     bits = doc.get("bits")
@@ -350,7 +350,7 @@ def _report_metrics(run_dir):
     rp = os.path.join(run_dir, "report.json")
     if not os.path.isfile(rp):
         raise DataError(f"run {run_dir}: missing report.json")
-    doc = _load_json(rp, "report")
+    doc = _load_json(rp, "report", DataError)
     try:
         values = {key: doc[key] for key in COMPARE_METRICS}
         values.update((f"recall_{c.name}", doc["per_class"][c.name]["recall"])

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import (N_CLASSES, EncodedDataset, check_doc, field_types,
-                      write_json)
+                      fits, write_json)
 
 MODEL_FORMAT = "flowgate-model-v2"
 
@@ -106,9 +106,12 @@ TREE_TYPES = field_types(DecisionTree)  # the arrays of a model file's tree
 SPLIT_CHUNK = 1 << 15
 
 
-def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
+def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
+               count=None) -> DecisionTree:
     """Grow a CART on (X, y); X columns correspond to feature_ids in the
-    original feature space, which is what split nodes record.
+    original feature space, which is what split nodes record. count, if
+    given, is each row's multiplicity: the tree is the one grown on the rows
+    repeated that often, and min_samples_leaf counts rows, not distinct rows.
 
     Each column is argsorted once. A node owns the segment [lo, hi) of
     every column's row order, and a split partitions that segment stably,
@@ -119,6 +122,12 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
     y = np.asarray(y, dtype=np.int64)
     if y.size == 0:
         raise ValueError("cannot train a tree on an empty bootstrap")
+    if count is not None:
+        count = np.asarray(count)
+        if not (count.shape == y.shape and count.dtype.kind in "iu"
+                and count.min() >= 1):
+            raise ValueError("count must give each row an integer count >= 1")
+        count = count.astype(np.int32)
     d = XT.shape[0]
     feature_ids = np.asarray(feature_ids, dtype=np.int64)
     mtry = int(math.ceil(math.sqrt(d))) if cfg.max_features == "sqrt" else d
@@ -134,8 +143,10 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
         i = len(nodes)
         if parent >= 0:
             nodes[parent][3] = i
-        n = hi - lo
-        counts = np.bincount(y[order[0, lo:hi]], minlength=N_CLASSES)
+        seg = order[0, lo:hi]
+        counts = np.bincount(y[seg], minlength=N_CLASSES) if count is None \
+            else np.bincount(y[seg], count[seg], N_CLASSES).astype(np.int64)
+        n = int(counts.sum())
         nodes.append([-1, 0.0, -1, -1, int(np.argmax(counts))])  # a leaf
         if depth >= cfg.max_depth or n < 2 * leaf or counts.max() == n:
             continue
@@ -143,30 +154,39 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng) -> DecisionTree:
             if mtry < d else np.arange(d)
         parent_gini = 1.0 - np.sum((counts / n) ** 2)
         best, c, thr = 0.0, None, None
-        step = max(1, SPLIT_CHUNK // n)
+        m = hi - lo
+        left = np.arange(1, m + 1)  # rows left of each position, uncounted
+        step = max(1, SPLIT_CHUNK // m)
         for s in range(0, mtry, step):
             cs = cols[s:s + step]
             rows = order[cs, lo:hi]
             xs = XT[cs[:, None], rows]
-            # cuts between distinct values with >= leaf rows on each side
-            ci, pi = np.nonzero(xs[:, leaf - 1:n - leaf]
-                                < xs[:, leaf:n - leaf + 1])
-            if ci.size == 0:
+            hot = y[rows] == np.arange(N_CLASSES)[:, None, None]
+            if count is not None:
+                w = count[rows]
+                hot, left = hot * w, np.cumsum(w, axis=1)
+            # cuts between distinct values with >= leaf rows on each side,
+            # as flat positions in xs
+            cut = np.zeros(xs.shape, dtype=bool)
+            np.less(xs[:, :-1], xs[:, 1:], out=cut[:, :-1])
+            cut &= (left >= leaf) & (left <= n - leaf)
+            at = np.flatnonzero(cut)
+            if at.size == 0:
                 continue
-            pi += leaf - 1
-            lc = np.cumsum(y[rows][:, :, None] == np.arange(N_CLASSES),
-                           axis=1, dtype=np.int32)[ci, pi].astype(np.float64)
-            nl = (pi + 1).astype(np.float64)
+            # class counts left of each cut, class-major: (N_CLASSES, cuts)
+            lc = np.take(np.cumsum(hot, axis=2, dtype=np.int32).reshape(
+                N_CLASSES, -1), at, axis=1).astype(np.float64)
+            nl = np.ones(N_CLASSES) @ lc
             nr = n - nl
-            rc = counts - lc
+            rc = counts[:, None] - lc
             # integer counts: the sums of squares are exact in any order
-            gini_l = 1.0 - np.einsum("ij,ij->i", lc, lc) / nl ** 2
-            gini_r = 1.0 - np.einsum("ij,ij->i", rc, rc) / nr ** 2
+            gini_l = 1.0 - np.einsum("ij,ij->j", lc, lc) / nl ** 2
+            gini_r = 1.0 - np.einsum("ij,ij->j", rc, rc) / nr ** 2
             decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
             k = int(np.argmax(decrease))
             if decrease[k] > best:
-                best, c = decrease[k], cs[ci[k]]
-                thr = (xs[ci[k], pi[k]] + xs[ci[k], pi[k] + 1]) / 2.0
+                best, c = decrease[k], cs[at[k] // m]
+                thr = (xs.flat[at[k]] + xs.flat[at[k] + 1]) / 2.0
         if c is None:
             continue
         rows = order[c, lo:hi]
@@ -298,7 +318,8 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     """Train the weighted forest.
 
     Trees are grown sequentially: roulette bootstrap under the current
-    weights, then one prediction pass over the whole dataset that gives
+    weights, a tree grown on the distinct rows drawn with their counts,
+    then one prediction pass over the dataset's distinct rows that gives
     a_m, the per-class accuracy row and the beta-scheduled weight update.
     Per-tree RNG streams derive from (seed, tree index) so the result is
     deterministic.
@@ -310,6 +331,12 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     if mask.size != ds.n_features:
         raise ValueError("mask width does not match dataset feature count")
     cols = np.flatnonzero(mask)
+    # rows equal, by bytes, under the mask and in label grow and predict
+    # alike: each tree grows on the distinct rows drawn, with their counts
+    key = np.ascontiguousarray(np.column_stack((ds.X[:, cols], ds.y)))
+    _, first, group = np.unique(key.view(f"V{key.itemsize * key.shape[1]}"),
+                                return_index=True, return_inverse=True)
+    X, y, group = ds.X[first], ds.y[first], group.reshape(-1)
     weights = init_weights(ds.y, cfg.class_weights)
     history = [weights.copy()] if record_weights else None
     trees = []
@@ -319,9 +346,11 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
             np.random.SeedSequence([seed, m]).generate_state(1)[0])
         try:
             idx = roulette_sample(weights, ds.n_samples, rng)
-            tree = train_tree(ds.X[idx][:, cols], ds.y[idx], cols,
-                              cfg.tree, rng)
-            preds = tree.predict(ds.X)
+            count = np.bincount(group[idx], minlength=first.size)
+            drawn = np.flatnonzero(count)
+            tree = train_tree(X[drawn][:, cols], y[drawn], cols, cfg.tree,
+                              rng, count[drawn])
+            preds = tree.predict(X)[group]
             a_m, acc_row = score_tree(preds, ds.y)
             acc_rows.append(acc_row)
             if cfg.use_weight_updates:
@@ -391,7 +420,10 @@ def load_forest(path) -> Forest:
         raise ValueError(f"{path}: not a flowgate model file: format "
                          f"{doc.get('format')!r}, expected {MODEL_FORMAT!r}")
     config = check_doc(doc["config"], CONFIG_TYPES, required=CONFIG_TYPES)
-    mask = np.array(doc["mask"], dtype=np.uint8)
+    mask = doc["mask"]
+    if not (fits(mask, tuple[int, ...]) and set(mask) <= {0, 1}):
+        raise ValueError(f"{path}: mask must be an array of 0s and 1s")
+    mask = np.array(mask, dtype=np.uint8)
     forest = Forest(
         trees=[_tree_from_doc(t, m, np.flatnonzero(mask))
                for m, t in enumerate(doc["trees"])],

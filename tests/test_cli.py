@@ -220,10 +220,14 @@ BAD_BAT_DOCS = [
                                       if k != "cost"}, 3,
                  id="report-missing-metric"),
     pytest.param("report", lambda d: [d], 3, id="report-array"),
+    pytest.param("report", lambda d: "{", 3, id="report-not-json"),
     pytest.param("report", lambda d: dict(d, accuracy="0.9"), 3,
                  id="report-string-metric"),
     pytest.param("mask", "2" + "1" * 40, 3, id="mask-bit-2"),
     pytest.param("mask", None, 3, id="mask-array"),
+    pytest.param("mask", b"{", 3, id="mask-not-json"),
+    pytest.param("mask", b"\xff{", 3, id="mask-not-utf8"),
+    pytest.param("rf", b"\xff{", 2, id="rf-not-utf8"),
     pytest.param("model", None, 3, id="truncated-model"),
     pytest.param("model", lambda d: d["config"].update(
         use_weighted_vote="false"), 3, id="model-string-vote-switch"),
@@ -247,6 +251,12 @@ BAD_BAT_DOCS = [
                  id="model-boolean-label"),
     pytest.param("model", lambda d: d["mask"].__setitem__(0, 256), 3,
                  id="model-mask-256"),
+    pytest.param("model", lambda d: d["mask"].__setitem__(0, "1"), 3,
+                 id="model-string-mask-bit"),
+    pytest.param("model", lambda d: d["mask"].__setitem__(0, 2), 3,
+                 id="model-mask-bit-2"),
+    pytest.param("model", lambda d: d["mask"].__setitem__(0, True), 3,
+                 id="model-boolean-mask-bit"),
     pytest.param("model", DEEP_JSON, 3, id="deep-json-model"),
     pytest.param("rf", DEEP_JSON, 2, id="deep-json-rf-config"),
 ])
@@ -255,11 +265,18 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
     out, cfg = pipeline_run
     rf, mask = tmp_path / "rf.json", out / "mask.json"
     rf_doc = payload if kind == "rf" else RF_DOC
-    rf.write_text(rf_doc if isinstance(rf_doc, str) else json.dumps(rf_doc))
+    if isinstance(rf_doc, bytes):
+        rf.write_bytes(rf_doc)
+    else:
+        rf.write_text(rf_doc if isinstance(rf_doc, str)
+                      else json.dumps(rf_doc))
     if kind == "mask":
         mask = tmp_path / "mask.json"
-        mask.write_text(json.dumps([1] if payload is None else {
-            "format": "flowgate-mask-v1", "bits": payload}))
+        if isinstance(payload, bytes):
+            mask.write_bytes(payload)
+        else:
+            mask.write_text(json.dumps([1] if payload is None else {
+                "format": "flowgate-mask-v1", "bits": payload}))
     if kind == "model":
         model = tmp_path / "model.json"
         if payload is None:
@@ -282,7 +299,9 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
     elif kind == "report":
         doc = json.loads((out / "report.json").read_text())
         (tmp_path / "run").mkdir()
-        (tmp_path / "run" / "report.json").write_text(json.dumps(payload(doc)))
+        body = payload(doc)
+        (tmp_path / "run" / "report.json").write_text(
+            body if isinstance(body, str) else json.dumps(body))
         args = ["compare", str(out), str(tmp_path / "run")]
     elif kind.startswith("pipeline"):
         doc = dict(cfg, output_dir=str(tmp_path / "run"))

@@ -131,6 +131,9 @@ class TestTrainTree:
             assert gc.collect() == 0
             tree.predict(ds.X)
             assert gc.collect() == 0
+            train_tree(ds.X, ds.y, np.arange(10), TreeConfig(),
+                       np.random.default_rng(5), np.arange(ds.y.size) % 3 + 1)
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -256,6 +259,21 @@ def oracle_cases():
         yield X, y
 
 
+def counted_cases():
+    """Distinct rows with counts: oracle_cases' rows counted 1 to 3 times,
+    plus two built cases. In the first, one distinct row counted 5 times
+    faces five single rows, so min_samples_leaf 2 or 5 admits the cut
+    between them only through that count. In the second, many rows share
+    x but differ in y."""
+    for seed, (X, y) in enumerate(oracle_cases()):
+        yield X, y, np.random.default_rng(seed).integers(1, 4, y.size)
+    yield (np.repeat(np.arange(6.0), 6).reshape(6, 6), np.r_[0, 1, 1, 1, 1, 1],
+           np.r_[5, 1, 1, 1, 1, 1])
+    rng = np.random.default_rng(99)
+    yield (rng.integers(0, 2, size=(60, 6)).astype(float),
+           rng.integers(0, 5, 60), rng.integers(1, 6, 60))
+
+
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
 @pytest.mark.parametrize("max_depth", [1, 20])
 @pytest.mark.parametrize("max_features", [None, "sqrt"])
@@ -272,6 +290,26 @@ def test_train_tree_matches_per_node_reference(min_leaf, max_depth,
         expected = reference_tree(X, y, ids, cfg, np.random.default_rng(i))
         got = train_tree(X, y, ids, cfg, np.random.default_rng(i))
         assert got == flatten(expected), f"case {i}"
+    # counted distinct rows grow the tree of the repeated rows, and
+    # all-ones counts the uncounted tree
+    for i, (X, y, count) in enumerate(counted_cases()):
+        expected = reference_tree(np.repeat(X, count, axis=0),
+                                  np.repeat(y, count), ids, cfg,
+                                  np.random.default_rng(i))
+        got = train_tree(X, y, ids, cfg, np.random.default_rng(i), count)
+        assert got == flatten(expected), f"counted case {i}"
+        ones = train_tree(X, y, ids, cfg, np.random.default_rng(i),
+                          np.ones(y.size, dtype=np.int64))
+        assert ones == train_tree(X, y, ids, cfg, np.random.default_rng(i))
+
+
+@pytest.mark.parametrize("count", [[1, 0, 2], [1, -1, 2], [1, 2],
+                                   [1.0, 1.0, 1.0]],
+                         ids=["zero", "negative", "short", "float"])
+def test_train_tree_rejects_bad_counts(count):
+    with pytest.raises(ValueError, match="count"):
+        train_tree(np.arange(3.0)[:, None], np.array([0, 1, 1]), [0],
+                   TreeConfig(), np.random.default_rng(0), count)
 
 
 class TestTreeAccuracy:
@@ -514,6 +552,42 @@ class TestFitAndPredict:
         for w in forest.weight_history:
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(w > 0)
+
+    @pytest.mark.parametrize("cfg", [
+        ForestConfig(n_trees=20),
+        ForestConfig.baseline(n_trees=20,
+                              tree=TreeConfig(max_features="sqrt")),
+    ], ids=["weighted", "sqrt-baseline"])
+    def test_matches_a_loop_over_repeated_rows(self, cfg):
+        # binary columns and a mask that drops two of them: 127 distinct
+        # rows of 400 under the mask, and equal rows differ in y, so the
+        # weighted schedule shifts weight onto a shrinking set of rows
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 2, size=(400, 8)).astype(float)
+        y = (X[:, 0] + 2 * X[:, 1] + rng.integers(0, 2, 400)).astype(int) % 5
+        ds = EncodedDataset(X=X, y=y, feature_names=[f"f{i}" for i in
+                                                     range(8)], encoders={})
+        mask = np.array([1, 1, 1, 0, 1, 0, 1, 1], dtype=np.uint8)
+        cols = np.flatnonzero(mask)
+        forest = fit(ds, mask, cfg, seed=5)
+        # fit as one loop over the bootstrap's repeated rows
+        weights = init_weights(ds.y, cfg.class_weights)
+        trees, acc_rows = [], []
+        for m in range(cfg.n_trees):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([5, m]).generate_state(1)[0])
+            idx = roulette_sample(weights, ds.n_samples, rng)
+            tree = train_tree(ds.X[idx][:, cols], ds.y[idx], cols, cfg.tree,
+                              rng)
+            preds = tree.predict(ds.X)
+            a_m, acc_row = score_tree(preds, ds.y)
+            if cfg.use_weight_updates:
+                weights = update_weights(weights, preds, ds.y, a_m)
+            trees.append(tree)
+            acc_rows.append(acc_row)
+        assert forest.trees == trees
+        assert np.array_equal(forest.accuracy_matrix,
+                              np.stack(acc_rows, axis=1))
 
     def test_baseline_degeneration(self):
         ds = synthetic_dataset([20] * 5, seed=7, n_features=6)
