@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,18 +84,7 @@ class DecisionTree:
     label: list
 
     def predict(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            i, idx = stack.pop()
-            if idx.size and self.left[i] == -1:
-                out[idx] = self.label[i]
-            elif idx.size:
-                go_left = X[idx, self.feature[i]] <= self.threshold[i]
-                stack.append((self.right[i], idx[~go_left]))
-                stack.append((self.left[i], idx[go_left]))
-        return out
+        return route(stack_trees([vars(self)]), X)[0]
 
     def node_count(self):
         return len(self.left)
@@ -101,9 +92,64 @@ class DecisionTree:
 
 TREE_TYPES = field_types(DecisionTree)  # the arrays of a model file's tree
 
+
+class NodeTable(NamedTuple):
+    """Trees stacked into one table of nodes. root[t] is tree t's root.
+    Node i splits on column feature[i] (0 at a leaf) at threshold[i], has
+    label[i], and has its right child at kids[2i] and its left at
+    kids[2i + 1]; a leaf is both its children."""
+
+    root: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    label: np.ndarray
+    kids: np.ndarray
+
+
+def stack_trees(trees) -> NodeTable:
+    """The table of trees given as mappings of their five node lists;
+    OverflowError for an integer beyond 64 bits."""
+    a = {k: np.array(list(chain.from_iterable(t[k] for t in trees)),
+                     np.float64 if k == "threshold" else np.int64)
+         for k in TREE_TYPES}
+    size = [len(t["left"]) for t in trees]
+    root = np.cumsum(size) - size
+    split = a["left"] != -1
+    kids = np.where(split, np.stack((a["right"], a["left"]))
+                    + np.repeat(root, size), np.arange(split.size))
+    return NodeTable(root, np.where(split, a["feature"], 0), a["threshold"],
+                     a["label"], kids.T.ravel())
+
+
+def route(table: NodeTable, X) -> np.ndarray:
+    """The leaf label each tree of table gives each row of X, shape (trees,
+    rows). Every (tree, row) pair starts at its tree's root, and all pairs
+    step down one level at a time; a pair that does not move is at its leaf
+    and drops out. A split that a pair reaches on a column X lacks raises
+    IndexError."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n, d = X.shape
+    feature = table.feature
+    if feature.max() >= d:  # past the end of X, not into the next row
+        feature = np.where(feature < d, feature, X.size)
+    at = np.tile(np.arange(n) * d, table.root.size)
+    node = np.repeat(table.root, n)
+    leaf, live, x = np.empty_like(node), np.arange(node.size), X.ravel()
+    while live.size:
+        i = 2 * node  # += is much faster than + for an int and a bool array
+        i += x[at + feature[node]] <= table.threshold[node]
+        step = table.kids[i]
+        leaf[live] = step
+        keep = np.flatnonzero(step != node)
+        live, node, at = live[keep], step[keep], at[keep]
+    return table.label[leaf].reshape(table.root.size, n)
+
+
 # most (column, row) cells a node scores at once: bounds the temporaries at
 # the root, while a deep node scores all its columns in one pass
 SPLIT_CHUNK = 1 << 15
+# most (tree, row) pairs predict_batch routes at once
+ROUTE_CHUNK = 1 << 15
 
 
 def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
@@ -286,6 +332,8 @@ class Forest:
     mask: np.ndarray             # feature mask the forest was trained under
     config: ForestConfig
     weight_history: list | None = None  # populated when fit records weights
+    # every tree in one table, stacked on first use: see predict_batch
+    table: NodeTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_trees(self):
@@ -303,14 +351,21 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
         raise ValueError(
             f"expected {forest.mask.size} feature columns, got "
             f"{X.shape[1] if X.ndim == 2 else 'non-2D input'}")
-    if X.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
+    if forest.table is None:
+        forest.table = stack_trees([vars(t) for t in forest.trees])
     votes = forest.vote_matrix()
-    scores = np.zeros((X.shape[0], N_CLASSES))
-    for m, tree in enumerate(forest.trees):
-        preds = tree.predict(X)
-        scores[np.arange(X.shape[0]), preds] += votes[preds, m]
-    return np.argmax(scores, axis=1)
+    tree = np.arange(forest.n_trees)[:, None]
+    step = max(1, ROUTE_CHUNK // forest.n_trees)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for lo in range(0, X.shape[0], step):
+        label = route(forest.table, X[lo:lo + step])
+        n = label.shape[1]
+        # over the pairs in tree-major order, bincount adds each row's
+        # votes tree by tree, as a loop over the trees would
+        scores = np.bincount((label + N_CLASSES * np.arange(n)).ravel(),
+                             votes[label, tree].ravel(), N_CLASSES * n)
+        out[lo:lo + step] = scores.reshape(n, N_CLASSES).argmax(axis=1)
+    return out
 
 
 def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
@@ -374,25 +429,42 @@ def config_from_doc(doc: dict, make=ForestConfig) -> ForestConfig:
     return cfg
 
 
-def _tree_from_doc(doc, m, features) -> DecisionTree:
-    """Tree m of a model file; ValueError unless it is one tree in which
-    every node but the root is the child of exactly one earlier node."""
-    check_doc(doc, TREE_TYPES, required=TREE_TYPES)
-    ints = [doc[k] for k in TREE_TYPES if k != "threshold"]
-    if not (doc["left"] and len({len(a) for a in doc.values()}) == 1
-            and all(set(map(type, a)) == {int} for a in ints)
-            and set(map(type, doc["threshold"])) == {float}):
-        raise ValueError(f"tree {m}: node arrays empty, ragged or mistyped")
-    feature, left, right, label = np.array(ints)
-    split = left != -1
-    kids = np.concatenate((left[split], right[split]))
-    if not (np.all(kids > np.tile(np.flatnonzero(split), 2))
-            and np.array_equal(np.sort(kids), np.arange(1, left.size))):
-        raise ValueError(f"tree {m}: a node lacks a unique earlier parent")
-    if not (np.isin(feature[split], features).all()
-            and np.all((label[~split] >= 0) & (label[~split] < N_CLASSES))):
-        raise ValueError(f"tree {m}: split feature or leaf label out of range")
-    return DecisionTree(**doc)
+def _stack_checked(docs, features) -> NodeTable:
+    """The node table of a model file's trees, all checked in one pass;
+    ValueError unless in every tree each node but the root is the child of
+    exactly one earlier node of that tree, every split feature is in
+    features, every threshold finite and every leaf label a class code."""
+    for m, doc in enumerate(docs):
+        check_doc(doc, TREE_TYPES, required=TREE_TYPES)
+        if not (doc["left"] and len({len(a) for a in doc.values()}) == 1):
+            raise ValueError(f"tree {m}: node arrays empty or ragged")
+    if any(set(map(type, chain.from_iterable(t[k] for t in docs)))
+           != {float if k == "threshold" else int} for k in TREE_TYPES):
+        raise ValueError("tree arrays must hold integers, thresholds floats")
+    table = stack_trees(docs)
+    size = [len(t["left"]) for t in docs]
+    split = np.fromiter(chain.from_iterable(t["left"] for t in docs),
+                        np.int64) != -1
+
+    def check(bad, what):  # bad: the faulty nodes' indices, in order
+        if bad.size:
+            m = np.searchsorted(table.root, bad[0], side="right") - 1
+            raise ValueError(f"tree {m}: {what}")
+
+    node = np.flatnonzero(split)
+    kid = table.kids.reshape(-1, 2)[node]
+    end = np.repeat(table.root + size, size)[node, None]
+    check(node[np.any((kid <= node[:, None]) | (kid >= end), axis=1)],
+          "a child is not a later node of its tree")
+    check(np.flatnonzero(np.bincount(np.append(kid, table.root),
+                                     minlength=split.size) != 1),
+          "a node is not the child of exactly one node")
+    check(np.flatnonzero(~np.isfinite(table.threshold) | np.where(
+        split, ~np.isin(table.feature, features),
+        (table.label < 0) | (table.label >= N_CLASSES))),
+        "a split feature outside the mask, a threshold not finite or a leaf "
+        "label not a class code")
+    return table
 
 
 def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
@@ -424,14 +496,16 @@ def load_forest(path) -> Forest:
     if not (fits(mask, tuple[int, ...]) and set(mask) <= {0, 1}):
         raise ValueError(f"{path}: mask must be an array of 0s and 1s")
     mask = np.array(mask, dtype=np.uint8)
-    forest = Forest(
-        trees=[_tree_from_doc(t, m, np.flatnonzero(mask))
-               for m, t in enumerate(doc["trees"])],
-        accuracy_matrix=np.array(doc["accuracy_matrix"], dtype=np.float64),
-        mask=mask,
-        config=config_from_doc(config),
-    )
-    if forest.accuracy_matrix.shape != (N_CLASSES, forest.n_trees):
-        raise ValueError(f"accuracy matrix does not fit {forest.n_trees} "
-                         f"trees: shape {forest.accuracy_matrix.shape}")
-    return forest
+    docs = doc["trees"]
+    if not (isinstance(docs, list) and docs):
+        raise ValueError("trees must be a non-empty array")
+    table = _stack_checked(docs, np.flatnonzero(mask))
+    acc = doc["accuracy_matrix"]
+    if not (fits(acc, tuple[tuple[float, ...], ...]) and len(acc) == N_CLASSES
+            and all(len(row) == len(docs) and all(0 <= v <= 1 for v in row)
+                    for row in acc)):
+        raise ValueError(f"accuracy_matrix must be {N_CLASSES} rows of "
+                         f"{len(docs)} numbers in [0, 1]")
+    return Forest(trees=[DecisionTree(**t) for t in docs],
+                  accuracy_matrix=np.array(acc, dtype=np.float64), mask=mask,
+                  config=config_from_doc(config), table=table)

@@ -141,20 +141,49 @@ def _first_leaf(tree):
     return tree["left"].index(-1)
 
 
-def _set_node(key, node, value):
-    """A model payload: value into array key at index node of the first
+def _set_node(key, node, value, tree_index=0):
+    """A model payload: value into array key at index node of the given
     tree; node and value may be functions of that tree."""
     def payload(doc):
-        tree = doc["trees"][0]
+        tree = doc["trees"][tree_index]
         assert tree["left"][0] != -1, "the root must be a split"
         at = node(tree) if callable(node) else node
         tree[key][at] = value(tree) if callable(value) else value
     return payload
 
 
-def _unmasked_split(doc):
+def _unmasked_split(doc, tree_index=0):
     feature = doc["mask"].index(0) if 0 in doc["mask"] else 41
-    _set_node("feature", 0, feature)(doc)
+    _set_node("feature", 0, feature, tree_index)(doc)
+
+
+def _three_trees(edit):
+    """A model payload: the model cut to its first three trees, then
+    edit(doc)."""
+    def payload(doc):
+        doc["trees"] = doc["trees"][:3]
+        doc["accuracy_matrix"] = [row[:3] for row in doc["accuracy_matrix"]]
+        edit(doc)
+    return payload
+
+
+def _self_child(doc):
+    # in the last tree, node 1's left child becomes node 1 and the root's
+    # left child node 2: every node keeps one parent, but one is not earlier
+    tree = doc["trees"][-1]
+    assert tree["left"][:2] == [1, 2], "nodes 0 and 1 must be splits"
+    tree["left"][:2] = [2, 1]
+
+
+def _child_in_next_tree(doc):
+    # tree 0's right child is node 1 of tree 1, which has no parent in
+    # tree 1: over the stacked nodes every node still has one parent
+    split = doc["mask"].index(1)
+    doc["trees"][:2] = [
+        {"feature": [split, -1], "threshold": [0.5, 0.0], "left": [1, -1],
+         "right": [3, -1], "label": [-1, 0]},
+        {"feature": [-1, -1], "threshold": [0.0, 0.0], "left": [-1, -1],
+         "right": [-1, -1], "label": [0, 1]}]
 
 
 DEEP_JSON = "[" * 200000 + "]" * 200000
@@ -257,6 +286,30 @@ BAD_BAT_DOCS = [
                  id="model-mask-bit-2"),
     pytest.param("model", lambda d: d["mask"].__setitem__(0, True), 3,
                  id="model-boolean-mask-bit"),
+    pytest.param("model", lambda d: d.update(
+        trees=[], accuracy_matrix=[[]] * 5), 3, id="model-no-trees"),
+    pytest.param("model", lambda d: d.update(
+        trees={}, accuracy_matrix=[[]] * 5), 3, id="model-trees-object"),
+    pytest.param("model", lambda d: d["accuracy_matrix"][0].__setitem__(
+        0, "0.93"), 3, id="model-string-accuracy"),
+    pytest.param("model", lambda d: d["accuracy_matrix"][0].__setitem__(
+        0, True), 3, id="model-boolean-accuracy"),
+    pytest.param("model", lambda d: d["accuracy_matrix"][0].__setitem__(
+        0, float("nan")), 3, id="model-nan-accuracy"),
+    pytest.param("model", lambda d: d.update(accuracy_matrix=[
+        [-1] * len(d["trees"])] * 5), 3, id="model-negative-accuracy"),
+    pytest.param("model", _set_node("threshold", 0, float("nan")), 3,
+                 id="model-nan-threshold"),
+    pytest.param("model", _set_node("feature", _first_leaf, 2 ** 64), 3,
+                 id="model-int-beyond-64-bits"),
+    pytest.param("model", _three_trees(_self_child), 3,
+                 id="model-backwards-child-in-last-tree"),
+    pytest.param("model", _three_trees(_child_in_next_tree), 3,
+                 id="model-child-in-next-tree"),
+    pytest.param("model", _three_trees(lambda d: _unmasked_split(d, 1)), 3,
+                 id="model-unmasked-feature-in-middle-tree"),
+    pytest.param("model", _three_trees(lambda d: None), 0,
+                 id="model-three-trees"),
     pytest.param("model", DEEP_JSON, 3, id="deep-json-model"),
     pytest.param("rf", DEEP_JSON, 2, id="deep-json-rf-config"),
 ])

@@ -13,7 +13,7 @@ from flowgate.wrf import (DEFAULT_CLASS_WEIGHTS, DecisionTree, Forest,
                           save_forest, score_tree, train_tree,
                           update_weights)
 
-from conftest import synthetic_dataset
+from conftest import synthetic_dataset, synthetic_split
 
 
 class TestInitWeights:
@@ -516,6 +516,100 @@ class TestWeightedVote:
     def test_tie_goes_to_lowest_code(self):
         forest = constant_forest([3, 1], np.ones((5, 2)))
         assert predict_batch(forest, np.zeros((1, 3)))[0] == 1
+
+
+def partition_predict(tree, X):
+    """DecisionTree.predict before the level-by-level router: the rows are
+    partitioned node by node from an explicit stack. The oracle for route."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        i, idx = stack.pop()
+        if idx.size and tree.left[i] == -1:
+            out[idx] = tree.label[i]
+        elif idx.size:
+            go_left = X[idx, tree.feature[i]] <= tree.threshold[i]
+            stack.append((tree.right[i], idx[~go_left]))
+            stack.append((tree.left[i], idx[go_left]))
+    return out
+
+
+def loop_predict_batch(forest, X):
+    """predict_batch before the router: each tree's votes are added to the
+    class scores in turn, in tree order."""
+    votes = forest.vote_matrix()
+    scores = np.zeros((X.shape[0], 5))
+    for m, tree in enumerate(forest.trees):
+        preds = partition_predict(tree, X)
+        scores[np.arange(X.shape[0]), preds] += votes[preds, m]
+    return np.argmax(scores, axis=1)
+
+
+def first_trees(forest, k):
+    return Forest(trees=forest.trees[:k],
+                  accuracy_matrix=forest.accuracy_matrix[:, :k],
+                  mask=forest.mask, config=forest.config)
+
+
+@pytest.fixture(scope="module")
+def routed_cases():
+    """(forest, rows) pairs: seeded weighted, baseline and "sqrt" forests of
+    1 to 30 trees on 1000 rows holding NaN and +-inf, and the 1500-deep
+    chain tree on every 25th value of its column and on NaN and +-inf."""
+    train, test = synthetic_split([60] * 5, [200] * 5, seed=12, n_features=12)
+    mask = np.ones(12, dtype=np.uint8)
+    mask[[3, 8]] = 0
+    X = test.X.copy()
+    X[::7, :4], X[1::11, 4:8], X[2::13, 8:] = np.nan, np.inf, -np.inf
+    cases = []
+    for cfg in (ForestConfig(n_trees=30), ForestConfig.baseline(n_trees=30),
+                ForestConfig.baseline(n_trees=30,
+                                      tree=TreeConfig(max_features="sqrt"))):
+        forest = fit(train, mask, cfg, seed=4)
+        cases += [(first_trees(forest, k), X) for k in (1, 2, 7, 30)]
+    chain = train_tree(np.arange(1500)[:, None], np.arange(1500) % 2, [0],
+                       TreeConfig(max_depth=10**6, min_samples_leaf=1),
+                       np.random.default_rng(0))
+    assert chain.node_count() == 2999
+    cases.append((Forest(trees=[chain], accuracy_matrix=np.ones((5, 1)),
+                         mask=np.ones(1, dtype=np.uint8),
+                         config=ForestConfig(n_trees=1)),
+                  np.r_[np.arange(0, 1500, 25.0), 1499.5, np.nan, np.inf,
+                        -np.inf][:, None]))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [wrf.ROUTE_CHUNK, 77, 1])
+def test_router_matches_the_per_tree_partition(routed_cases, chunk,
+                                                monkeypatch):
+    # chunk 77 and 1 split a batch into many chunks, the last one partial
+    monkeypatch.setattr(wrf, "ROUTE_CHUNK", chunk)
+    for i, (forest, X) in enumerate(routed_cases):
+        for rows in (X[:0], X[:1], X):
+            assert np.array_equal(predict_batch(forest, rows),
+                                  loop_predict_batch(forest, rows)), i
+        for tree in forest.trees:
+            assert np.array_equal(tree.predict(X), partition_predict(tree, X))
+
+
+@pytest.mark.parametrize("labels, class_1, class_0, expected", [
+    ([1, 1, 0], [0.1, 0.2], 0.3, 1),  # 0.1 + 0.2 > 0.3
+    ([1, 1, 1, 0], [0.1, 0.2, 0.3], 0.6, 1),  # 0.6000000000000001
+    ([1, 1, 1, 0], [0.3, 0.2, 0.1], 0.6, 0),  # 0.6: a tie, the lower code
+    ([1] * 10 + [0], [0.09, 0.07, 0.06, 0.07, 0.07, 0.07, 0.07, 0.09, 0.09,
+                      0.09], 0.7699999999999999, 0),  # a tie again
+])
+def test_votes_add_in_tree_order(labels, class_1, class_0, expected):
+    # summed in another order the scores of the last three cases change
+    # sides: reversed, the second and third; pairwise, as numpy sums eight
+    # or more numbers in a row, the fourth (to 0.77)
+    matrix = np.zeros((5, len(labels)))
+    matrix[1, :-1], matrix[0, -1] = class_1, class_0
+    forest = constant_forest(labels, matrix)
+    X = np.zeros((3, 3))
+    assert np.array_equal(loop_predict_batch(forest, X), [expected] * 3)
+    assert np.array_equal(predict_batch(forest, X), [expected] * 3)
 
 
 class TestFitAndPredict:
