@@ -1,7 +1,8 @@
 """flowgate command line: ingest | select-features | train | classify |
 evaluate | pipeline | compare.
 
-Every stage reads and writes files so runs can be resumed and compared.
+Every stage writes files so runs can be resumed and compared; the
+pipeline also hands each stage's results to the next in memory.
 All randomness comes from explicit seeds; output artifacts embed a hash of
 the config that produced them. Exit codes: 0 success, 2 config/validation
 error, 3 runtime/data error.
@@ -118,13 +119,12 @@ def load_cost_matrix(path) -> np.ndarray:
 
 # ----------------------------------------------------------------- stages
 
-def cmd_ingest(input_path, targets, seed, output):
+def cmd_ingest(input_path, targets, seed, output, encoders=None):
+    """Parse, encode (with encoders, if given) and down-sample a CSV."""
     _require_file(input_path, "input dataset")
     try:
-        records = parse_kdd_csv(input_path)
-        if not records:
-            raise DataError(f"{input_path}: no records")
-        ds = stratified_downsample(encode(records), targets, seed)
+        ds = stratified_downsample(encode(parse_kdd_csv(input_path),
+                                          encoders), targets, seed)
         save_dataset(ds, output)
     except (ValueError, OSError) as exc:
         raise DataError(str(exc)) from exc
@@ -157,16 +157,12 @@ def probe_split(ds: EncodedDataset, train_size, valid_size, seed):
         k_valid = min(k_valid, idx.size - k_train)
         train_idx.append(idx[:k_train])
         valid_idx.append(idx[k_train:k_train + k_valid])
-    train_idx = np.sort(np.concatenate(train_idx))
-    valid_idx = np.sort(np.concatenate(valid_idx))
-    mk = lambda sel: EncodedDataset(X=ds.X[sel], y=ds.y[sel],
-                                    feature_names=list(ds.feature_names),
-                                    encoders=ds.encoders)
-    return mk(train_idx), mk(valid_idx)
+    return (ds.take(np.sort(np.concatenate(train_idx))),
+            ds.take(np.sort(np.concatenate(valid_idx))))
 
 
-def cmd_select_features(data_path, config_doc, seed, out_path):
-    ds = _load_checked(load_dataset, data_path, "ingested dataset")
+def select_features(ds, config_doc, seed, out_path):
+    """Run the bat algorithm on ds, write the mask file, return the result."""
     cfg, probe = bat_config_from_doc(config_doc, seed)
     train, valid = probe_split(ds, *probe, seed)
 
@@ -178,7 +174,7 @@ def cmd_select_features(data_path, config_doc, seed, out_path):
         result = run_bat(fitness, ds.n_features, cfg)
     except RuntimeError as exc:
         raise DataError(str(exc)) from exc
-    doc = {
+    write_json({
         "format": MASK_FORMAT,
         "bits": "".join(str(int(b)) for b in result.mask),
         "selected_features": [ds.feature_names[i]
@@ -188,9 +184,8 @@ def cmd_select_features(data_path, config_doc, seed, out_path):
         "trace": [float(v) for v in result.trace],
         "seed": seed,
         "config_hash": _config_hash(config_doc),
-    }
-    write_json(doc, out_path)
-    return doc
+    }, out_path)
+    return result
 
 
 def load_mask(path) -> np.ndarray:
@@ -212,9 +207,12 @@ def _load_checked(load, path, what):
         raise DataError(f"cannot load {what} {path}: {exc}") from exc
 
 
-def cmd_train(data_path, mask_path, config_doc, seed, out_path):
-    ds = _load_checked(load_dataset, data_path, "ingested dataset")
-    mask = load_mask(mask_path)
+def _load_data(path):
+    return _load_checked(load_dataset, path, "ingested dataset")
+
+
+def train_model(ds, mask, config_doc, seed, out_path):
+    """Fit the forest on ds under mask, write the model file, return it."""
     cfg = rf_config_from_doc(config_doc)
     try:
         forest = fit(ds, mask, cfg, seed)
@@ -227,7 +225,7 @@ def cmd_train(data_path, mask_path, config_doc, seed, out_path):
 
 def cmd_classify(model_path, data_path, out_path):
     forest = _load_checked(load_forest, model_path, "model")
-    ds = _load_checked(load_dataset, data_path, "ingested dataset")
+    ds = _load_data(data_path)
     try:
         preds = predict_batch(forest, ds.X)
     except ValueError as exc:
@@ -238,10 +236,9 @@ def cmd_classify(model_path, data_path, out_path):
     return preds
 
 
-def cmd_evaluate(model_path, data_path, cost_path, out_path,
-                 config_hash=None):
-    forest = _load_checked(load_forest, model_path, "model")
-    ds = _load_checked(load_dataset, data_path, "ingested dataset")
+def evaluate_model(forest, ds, data_path, cost_path, out_path,
+                   config_hash=None):
+    """Score forest on ds, stored at data_path; write and return the report."""
     cost = load_cost_matrix(cost_path) if cost_path else KDD99_COST_MATRIX
     try:
         preds = predict_batch(forest, ds.X)
@@ -255,6 +252,22 @@ def cmd_evaluate(model_path, data_path, cost_path, out_path,
         doc["config_hash"] = config_hash
     write_json(doc, out_path)
     return doc
+
+
+def cmd_select_features(data_path, config_doc, seed, out_path):
+    return select_features(_load_data(data_path), config_doc, seed, out_path)
+
+
+def cmd_train(data_path, mask_path, config_doc, seed, out_path):
+    return train_model(_load_data(data_path), load_mask(mask_path),
+                       config_doc, seed, out_path)
+
+
+def cmd_evaluate(model_path, data_path, cost_path, out_path,
+                 config_hash=None):
+    forest = _load_checked(load_forest, model_path, "model")
+    return evaluate_model(forest, _load_data(data_path), data_path,
+                          cost_path, out_path, config_hash)
 
 
 # --------------------------------------------------------------- pipeline
@@ -308,7 +321,7 @@ def cmd_pipeline(config_path):
     def stage(name, fn):
         start = time.monotonic()
         try:
-            fn()
+            result = fn()
         except Exception:
             manifest["stages"][name] = {
                 "status": "failed",
@@ -318,18 +331,21 @@ def cmd_pipeline(config_path):
             raise
         manifest["stages"][name] = {
             "status": "ok", "seconds": round(time.monotonic() - start, 3)}
+        return result
 
-    stage("ingest", lambda: (
-        cmd_ingest(doc["train_input"], doc["train_targets"], seed,
-                   paths["train"]),
-        cmd_ingest(doc["test_input"], doc["test_targets"], seed + 1,
-                   paths["test"])))
-    stage("select-features", lambda: cmd_select_features(
-        paths["train"], bat_doc, seed, paths["mask"]))
-    stage("train", lambda: cmd_train(
-        paths["train"], paths["mask"], rf_doc, seed, paths["model"]))
-    stage("evaluate", lambda: cmd_evaluate(
-        paths["model"], paths["test"], doc.get("cost_matrix"),
+    def ingest():  # the test split is encoded with the training encoders
+        train = cmd_ingest(doc["train_input"], doc["train_targets"], seed,
+                           paths["train"])
+        return train, cmd_ingest(doc["test_input"], doc["test_targets"],
+                                 seed + 1, paths["test"], train.encoders)
+
+    train, test = stage("ingest", ingest)
+    mask = stage("select-features", lambda: select_features(
+        train, bat_doc, seed, paths["mask"])).mask
+    forest = stage("train", lambda: train_model(
+        train, mask, rf_doc, seed, paths["model"]))
+    stage("evaluate", lambda: evaluate_model(
+        forest, test, paths["test"], doc.get("cost_matrix"),
         paths["report"], config_hash=cfg_hash))
 
     manifest["status"] = "ok"
@@ -461,9 +477,9 @@ def main(argv=None):
                        args.output)
         elif args.command == "select-features":
             cfg = _load_json(args.config, "bat config") if args.config else {}
-            doc = cmd_select_features(args.data, cfg, args.seed, args.out)
-            print(f"selected {doc['n_selected']} features, "
-                  f"fitness {doc['fitness']:.4f}")
+            res = cmd_select_features(args.data, cfg, args.seed, args.out)
+            print(f"selected {int(res.mask.sum())} features, "
+                  f"fitness {res.fitness:.4f}")
         elif args.command == "train":
             cfg = _load_json(args.config, "rf config") if args.config else {}
             cmd_train(args.data, args.mask, cfg, args.seed, args.out)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass
 from enum import IntEnum
@@ -38,6 +39,7 @@ FEATURE_NAMES = [
 
 # protocol_type, service, flag
 SYMBOLIC_COLUMNS = (1, 2, 3)
+NUMERIC_COLUMNS = [c for c in range(N_FEATURES) if c not in SYMBOLIC_COLUMNS]
 
 
 class FlowClass(IntEnum):
@@ -52,70 +54,29 @@ N_CLASSES = len(FlowClass)
 
 # Canonical KDD-99 attack-name grouping (training attacks plus the extra
 # attack types that appear only in the corrected test set).
-ATTACK_CLASSES = {
-    "normal": FlowClass.NORMAL,
-    # Probe
-    "ipsweep": FlowClass.PROBE,
-    "nmap": FlowClass.PROBE,
-    "portsweep": FlowClass.PROBE,
-    "satan": FlowClass.PROBE,
-    "mscan": FlowClass.PROBE,
-    "saint": FlowClass.PROBE,
-    # DoS
-    "back": FlowClass.DOS,
-    "land": FlowClass.DOS,
-    "neptune": FlowClass.DOS,
-    "pod": FlowClass.DOS,
-    "smurf": FlowClass.DOS,
-    "teardrop": FlowClass.DOS,
-    "apache2": FlowClass.DOS,
-    "mailbomb": FlowClass.DOS,
-    "processtable": FlowClass.DOS,
-    "udpstorm": FlowClass.DOS,
-    # U2R
-    "buffer_overflow": FlowClass.U2R,
-    "loadmodule": FlowClass.U2R,
-    "perl": FlowClass.U2R,
-    "rootkit": FlowClass.U2R,
-    "httptunnel": FlowClass.U2R,
-    "ps": FlowClass.U2R,
-    "sqlattack": FlowClass.U2R,
-    "xterm": FlowClass.U2R,
-    # R2L
-    "ftp_write": FlowClass.R2L,
-    "guess_passwd": FlowClass.R2L,
-    "imap": FlowClass.R2L,
-    "multihop": FlowClass.R2L,
-    "phf": FlowClass.R2L,
-    "spy": FlowClass.R2L,
-    "warezclient": FlowClass.R2L,
-    "warezmaster": FlowClass.R2L,
-    "named": FlowClass.R2L,
-    "sendmail": FlowClass.R2L,
-    "snmpgetattack": FlowClass.R2L,
-    "snmpguess": FlowClass.R2L,
-    "worm": FlowClass.R2L,
-    "xlock": FlowClass.R2L,
-    "xsnoop": FlowClass.R2L,
-}
+ATTACK_CLASSES = {name: cls for cls, names in [
+    (FlowClass.NORMAL, "normal"),
+    (FlowClass.PROBE, "ipsweep nmap portsweep satan mscan saint"),
+    (FlowClass.DOS, "back land neptune pod smurf teardrop apache2 mailbomb "
+                    "processtable udpstorm"),
+    (FlowClass.U2R, "buffer_overflow loadmodule perl rootkit httptunnel ps "
+                    "sqlattack xterm"),
+    (FlowClass.R2L, "ftp_write guess_passwd imap multihop phf spy "
+                    "warezclient warezmaster named sendmail snmpgetattack "
+                    "snmpguess worm xlock xsnoop"),
+] for name in names.split()}
 
 DATASET_FORMAT = "flowgate-dataset-v1"
 
 
 @dataclass
-class FlowRecord:
-    """One raw labeled flow: 41 feature strings plus an attack-name label."""
+class FlowTable:
+    """Raw labeled flows by column: the numeric features as one float64
+    array, the symbolic features and the attack names as strings."""
 
-    features: list
-    label: str
-
-    def __post_init__(self):
-        if len(self.features) != N_FEATURES:
-            raise ValueError(
-                f"expected {N_FEATURES} features, got {len(self.features)}"
-            )
-        if not self.label:
-            raise ValueError("empty label")
+    numeric: np.ndarray  # (n, len(NUMERIC_COLUMNS)), in column order
+    symbols: list        # per SYMBOLIC_COLUMNS entry, n strings
+    labels: list         # n attack names, trailing '.' stripped
 
 
 @dataclass
@@ -147,35 +108,52 @@ class EncodedDataset:
     def class_counts(self):
         return np.bincount(self.y, minlength=N_CLASSES)
 
+    def take(self, rows) -> EncodedDataset:
+        return EncodedDataset(self.X[rows], self.y[rows],
+                              list(self.feature_names), self.encoders)
 
-def parse_kdd_csv(path) -> list:
-    """Read a KDD-format CSV into FlowRecords.
+
+def parse_kdd_csv(path) -> FlowTable:
+    """Read a KDD-format CSV into a FlowTable.
 
     Each line holds 41 features plus the label; a trailing difficulty field
-    (43 fields total) is tolerated and dropped. Labels keep their attack
-    name with any trailing '.' stripped.
+    (43 fields total) is tolerated and dropped. Blank and whitespace-only
+    lines are skipped. Labels keep their attack name with any trailing '.'
+    stripped. The numeric fields go through numpy's C reader, which rounds
+    as float() does but takes only ASCII numbers: '1_0' is an error.
     """
-    records = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise OSError(f"cannot read KDD file {path}: {exc}") from exc
+    kept, linenos, symbols, labels = [], [], [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) == N_FEATURES + 2:
-            fields = fields[:-1]  # drop difficulty column
-        if len(fields) != N_FEATURES + 1:
-            raise ValueError(
-                f"line {lineno}: expected {N_FEATURES + 1} fields, "
-                f"got {len(fields)}"
-            )
-        label = fields[-1].rstrip(".")
-        records.append(FlowRecord(features=fields[:-1], label=label))
-    return records
+        n = line.count(",") + 1
+        if n not in (N_FEATURES + 1, N_FEATURES + 2):
+            raise ValueError(f"line {lineno}: expected {N_FEATURES + 1} "
+                             f"fields, got {n}")
+        # numpy reads the numbers: split off only fields 1-3 and the label
+        label = line.rsplit(",", n - N_FEATURES)[1].rstrip(".")
+        if not label:
+            raise ValueError(f"line {lineno}: empty label")
+        kept.append(line)
+        linenos.append(lineno)
+        symbols.append(line.split(",", 4)[1:4])
+        labels.append(label)
+    if not kept:
+        return FlowTable(np.empty((0, len(NUMERIC_COLUMNS))),
+                         [[] for _ in SYMBOLIC_COLUMNS], [])
+    try:
+        numeric = np.loadtxt(kept, delimiter=",", comments=None,
+                             usecols=NUMERIC_COLUMNS, ndmin=2)
+    except ValueError as exc:  # numpy counts rows among the kept lines
+        raise ValueError(re.sub(r"at row (\d+)", lambda m: f"on line "
+                                f"{linenos[int(m[1])]}", str(exc))) from None
+    return FlowTable(numeric, [list(c) for c in zip(*symbols)], labels)
 
 
 def map_attack_to_class(label: str) -> FlowClass:
@@ -187,40 +165,31 @@ def map_attack_to_class(label: str) -> FlowClass:
         raise ValueError(f"unknown attack label: {label!r}") from None
 
 
-def build_encoders(records) -> dict:
-    """Ordinal encoders for the symbolic columns, from sorted distinct values."""
-    encoders = {}
-    for col in SYMBOLIC_COLUMNS:
-        values = sorted({rec.features[col] for rec in records})
-        encoders[FEATURE_NAMES[col]] = {v: i for i, v in enumerate(values)}
-    return encoders
+def encode(table: FlowTable, encoders=None) -> EncodedDataset:
+    """Encode raw flows into a real-valued matrix plus class codes.
 
-
-def encode(records) -> EncodedDataset:
-    """Encode raw records into a real-valued matrix plus class codes.
-
-    Symbolic columns are ordinal-encoded by dictionaries built from sorted
-    distinct values, so two record lists with the same distinct symbol sets
-    produce identical encodings. The feature count stays 41.
+    Symbolic columns are ordinal-encoded. Without encoders each column's
+    dictionary is built from its sorted distinct values, so two tables
+    with the same distinct symbol sets produce identical encodings. Given
+    encoders (a training split's), they are reused, and a symbol they lack
+    maps to one reserved code per column, the dictionary's length. The
+    feature count stays 41.
     """
-    if not records:
-        raise ValueError("cannot encode an empty record list")
-    encoders = build_encoders(records)
-    X = np.empty((len(records), N_FEATURES), dtype=np.float64)
-    y = np.empty(len(records), dtype=np.int64)
-    for row, rec in enumerate(records):
-        for col, raw in enumerate(rec.features):
-            if col in SYMBOLIC_COLUMNS:
-                X[row, col] = encoders[FEATURE_NAMES[col]][raw]
-            else:
-                try:
-                    X[row, col] = float(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"row {row}, column {col} ({FEATURE_NAMES[col]}): "
-                        f"unparseable numeric value {raw!r}"
-                    ) from None
-        y[row] = int(map_attack_to_class(rec.label))
+    if not table.labels:
+        raise ValueError("cannot encode an empty flow table")
+    if encoders is None:
+        encoders = {FEATURE_NAMES[col]: {v: i for i, v in
+                                         enumerate(sorted(set(values)))}
+                    for col, values in zip(SYMBOLIC_COLUMNS, table.symbols)}
+    X = np.empty((len(table.labels), N_FEATURES), dtype=np.float64)
+    X[:, NUMERIC_COLUMNS] = table.numeric
+    for col, values in zip(SYMBOLIC_COLUMNS, table.symbols):
+        codes = encoders[FEATURE_NAMES[col]]
+        unseen = len(codes)
+        X[:, col] = [codes.get(v, unseen) for v in values]
+    classes = {label: int(map_attack_to_class(label))
+               for label in dict.fromkeys(table.labels)}
+    y = np.array([classes[label] for label in table.labels], dtype=np.int64)
     return EncodedDataset(X=X, y=y, feature_names=list(FEATURE_NAMES),
                           encoders=encoders)
 
@@ -244,10 +213,7 @@ def stratified_downsample(ds: EncodedDataset, targets, seed: int) -> EncodedData
                 f"but only {idx.size} available"
             )
         chosen.append(rng.choice(idx, size=targets[j], replace=False))
-    sel = np.sort(np.concatenate(chosen))
-    return EncodedDataset(X=ds.X[sel], y=ds.y[sel],
-                          feature_names=list(ds.feature_names),
-                          encoders=ds.encoders)
+    return ds.take(np.sort(np.concatenate(chosen)))
 
 
 def write_text(text, path) -> None:
@@ -340,8 +306,5 @@ def load_dataset(path) -> EncodedDataset:
 def dataset_hash(path) -> str:
     """SHA-256 of the exchange file bytes; identifies a test split in
     cross-run comparisons."""
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()

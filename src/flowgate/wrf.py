@@ -351,6 +351,8 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
         raise ValueError(
             f"expected {forest.mask.size} feature columns, got "
             f"{X.shape[1] if X.ndim == 2 else 'non-2D input'}")
+    if not forest.trees:
+        raise ValueError("forest has no trees")
     if forest.table is None:
         forest.table = stack_trees([vars(t) for t in forest.trees])
     votes = forest.vote_matrix()
@@ -499,6 +501,9 @@ def load_forest(path) -> Forest:
     docs = doc["trees"]
     if not (isinstance(docs, list) and docs):
         raise ValueError("trees must be a non-empty array")
+    if len(docs) != config["n_trees"]:
+        raise ValueError(f"config n_trees {config['n_trees']}, but "
+                         f"{len(docs)} trees")
     table = _stack_checked(docs, np.flatnonzero(mask))
     acc = doc["accuracy_matrix"]
     if not (fits(acc, tuple[tuple[float, ...], ...]) and len(acc) == N_CLASSES

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from flowgate import cli, dataset
 from flowgate.cli import main
 from flowgate.dataset import load_dataset
+from conftest import make_kdd_line
 from synth_kdd import write_synthetic_kdd
 
 TRAIN_TARGETS = [400, 80, 700, 8, 60]
@@ -157,12 +159,13 @@ def _unmasked_split(doc, tree_index=0):
     _set_node("feature", 0, feature, tree_index)(doc)
 
 
-def _three_trees(edit):
-    """A model payload: the model cut to its first three trees, then
-    edit(doc)."""
+def _three_trees(edit, n_trees=3):
+    """A model payload: the model cut to its first three trees, its config
+    saying n_trees, then edit(doc)."""
     def payload(doc):
         doc["trees"] = doc["trees"][:3]
         doc["accuracy_matrix"] = [row[:3] for row in doc["accuracy_matrix"]]
+        doc["config"]["n_trees"] = n_trees
         edit(doc)
     return payload
 
@@ -184,6 +187,15 @@ def _child_in_next_tree(doc):
          "right": [3, -1], "label": [-1, 0]},
         {"feature": [-1, -1], "threshold": [0.0, 0.0], "left": [-1, -1],
          "right": [-1, -1], "label": [0, 1]}]
+
+
+def _csv_field(col, value):
+    """A flow-file payload: field col of the second line set to value."""
+    def payload(lines):
+        fields = lines[1].split(",")
+        fields[col] = value
+        lines[1] = ",".join(fields)
+    return payload
 
 
 DEEP_JSON = "[" * 200000 + "]" * 200000
@@ -310,6 +322,19 @@ BAD_BAT_DOCS = [
                  id="model-unmasked-feature-in-middle-tree"),
     pytest.param("model", _three_trees(lambda d: None), 0,
                  id="model-three-trees"),
+    pytest.param("model", _three_trees(lambda d: None, RF_DOC["n_trees"]), 3,
+                 id="model-n-trees-mismatch"),
+    pytest.param("csv", lambda lines: None, 0, id="csv-well-formed"),
+    pytest.param("csv", _csv_field(0, "abc"), 3, id="csv-non-numeric-field"),
+    pytest.param("csv", _csv_field(4, "nan"), 3, id="csv-nan-field"),
+    pytest.param("csv", _csv_field(4, "1_0"), 3,
+                 id="csv-underscore-digits"),
+    pytest.param("csv", _csv_field(4, "\u0661"), 3, id="csv-non-ascii-digit"),
+    pytest.param("csv", lambda lines: lines.__setitem__(
+        1, lines[1].split(",", 1)[1]), 3, id="csv-41-fields"),
+    pytest.param("csv", _csv_field(-1, ""), 3, id="csv-empty-label"),
+    pytest.param("csv", b"\xff", 3, id="csv-not-utf8"),
+    pytest.param("csv", lambda lines: lines.clear(), 3, id="csv-no-flows"),
     pytest.param("model", DEEP_JSON, 3, id="deep-json-model"),
     pytest.param("rf", DEEP_JSON, 2, id="deep-json-rf-config"),
 ])
@@ -330,7 +355,18 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
         else:
             mask.write_text(json.dumps([1] if payload is None else {
                 "format": "flowgate-mask-v1", "bits": payload}))
-    if kind == "model":
+    if kind == "csv":
+        flows = tmp_path / "flows.csv"
+        with open(cfg["train_input"], encoding="utf-8") as fh:
+            lines = fh.read().split("\n")[:5]
+        if isinstance(payload, bytes):
+            flows.write_bytes(payload + "\n".join(lines).encode())
+        else:
+            payload(lines)
+            flows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ["ingest", "--input", str(flows), "--targets", "0,0,0,0,0",
+                "--seed", "0", "--output", str(tmp_path / "flows.json")]
+    elif kind == "model":
         model = tmp_path / "model.json"
         if payload is None:
             model.write_bytes((out / "model.json").read_bytes()[:100])
@@ -453,6 +489,97 @@ def test_pipeline_custom_variant_label(corpus, tmp_path):
     assert main(["pipeline", "--config", str(cfg_path)]) == 0
     man = json.loads((tmp_path / "mix" / "manifest.json").read_text())
     assert man["variant"] == "custom"
+
+
+def test_pipeline_hands_datasets_over_in_memory(pipeline_run, monkeypatch,
+                                               tmp_path):
+    """The pipeline reads back none of the datasets it writes, and its
+    artifacts are those of the four stages run as separate commands."""
+    out, cfg = pipeline_run
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_dataset(path)
+
+    monkeypatch.setattr(cli, "load_dataset", counted)
+    monkeypatch.setattr(dataset, "load_dataset", counted)
+    piped = tmp_path / "piped"
+    (tmp_path / "pipeline.json").write_text(
+        json.dumps(dict(cfg, output_dir=str(piped))))
+    assert main(["pipeline", "--config", str(tmp_path / "pipeline.json")]) \
+        == 0
+    assert calls == []
+
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    (tmp_path / "bat.json").write_text(json.dumps(cfg["bat"]))
+    (tmp_path / "rf.json").write_text(json.dumps(cfg["rf"]))
+    seed = cfg["seed"]
+    for split, targets, split_seed in (
+            ("train", cfg["train_targets"], seed),
+            ("test", cfg["test_targets"], seed + 1)):
+        assert main(["ingest", "--input", cfg[f"{split}_input"],
+                     "--targets", ",".join(map(str, targets)),
+                     "--seed", str(split_seed),
+                     "--output", str(staged / f"{split}.json")]) == 0
+    assert main(["select-features", "--data", str(staged / "train.json"),
+                 "--config", str(tmp_path / "bat.json"), "--seed", str(seed),
+                 "--out", str(staged / "mask.json")]) == 0
+    assert main(["train", "--data", str(staged / "train.json"),
+                 "--mask", str(staged / "mask.json"),
+                 "--config", str(tmp_path / "rf.json"), "--seed", str(seed),
+                 "--out", str(staged / "model.json")]) == 0
+    assert main(["evaluate", "--model", str(staged / "model.json"),
+                 "--data", str(staged / "test.json"),
+                 "--out", str(staged / "report.json")]) == 0
+    assert len(calls) == 3  # the counter sees the stages' own loads
+    for name in ("train.json", "test.json", "mask.json", "model.json"):
+        assert (piped / name).read_bytes() == (staged / name).read_bytes(), \
+            name
+    # the pipeline's report also names its config
+    report = json.loads((piped / "report.json").read_text())
+    assert len(report.pop("config_hash")) == 64
+    assert json.dumps(report, sort_keys=True, separators=(",", ":")) == \
+        (staged / "report.json").read_text()
+
+
+def test_pipeline_encodes_test_split_with_training_encoders(tmp_path):
+    """A service seen only in the test split takes the reserved code, and
+    a shared one keeps its training code, whatever else the test split
+    holds."""
+    labels = ["normal", "satan", "smurf", "buffer_overflow", "guess_passwd"]
+    rng = np.random.default_rng(12)
+    services = {"train": ["http", "smtp"], "test": ["ftp", "http"]}
+    raw = {}
+    for split in ("train", "test"):
+        lines = []
+        for k in range(60):
+            fields = make_kdd_line(rng, labels[k % 5]).split(",")
+            fields[2] = services[split][k % 2]
+            lines.append(fields)
+        raw[split] = [f[2] for f in lines]
+        (tmp_path / f"{split}.csv").write_text(
+            "\n".join(",".join(f) for f in lines) + "\n")
+    cfg = {"train_input": str(tmp_path / "train.csv"),
+           "test_input": str(tmp_path / "test.csv"),
+           # every row kept: the splits keep the files' row order
+           "train_targets": [12] * 5, "test_targets": [12] * 5,
+           "seed": 0, "output_dir": str(tmp_path / "run"),
+           "bat": {"n_bats": 4, "n_subgroups": 2, "n_iterations": 2,
+                   "probe_train_size": 20, "probe_valid_size": 20},
+           "rf": {"n_trees": 2}}
+    (tmp_path / "pipeline.json").write_text(json.dumps(cfg))
+    assert main(["pipeline", "--config", str(tmp_path / "pipeline.json")]) \
+        == 0
+    train = load_dataset(str(tmp_path / "run" / "train.json"))
+    test = load_dataset(str(tmp_path / "run" / "test.json"))
+    assert train.encoders["service"] == {"http": 0, "smtp": 1}
+    assert test.encoders == train.encoders
+    assert train.X[:, 2].tolist() == [{"http": 0, "smtp": 1}[v]
+                                      for v in raw["train"]]
+    assert test.X[:, 2].tolist() == [{"http": 0, "ftp": 2}[v]
+                                     for v in raw["test"]]
 
 
 def test_pipeline_missing_key_is_config_error(tmp_path):

@@ -1,11 +1,13 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from flowgate.cli import cmd_compare
-from flowgate.dataset import (N_CLASSES, FlowClass, FlowRecord, N_FEATURES,
+from flowgate.dataset import (FEATURE_NAMES, N_CLASSES, NUMERIC_COLUMNS,
+                              SYMBOLIC_COLUMNS, FlowClass, N_FEATURES,
                               check_doc, dataset_hash, encode, fits,
                               load_dataset, map_attack_to_class,
                               parse_kdd_csv, save_dataset,
@@ -15,20 +17,32 @@ from flowgate.metrics import evaluate
 from conftest import make_kdd_file, make_kdd_line
 
 
+def assert_shape(table, rows):
+    """table holds rows flows: a numeric array and three symbol columns."""
+    assert table.numeric.shape == (rows, N_FEATURES - len(SYMBOLIC_COLUMNS))
+    assert table.numeric.dtype == np.float64
+    assert [len(c) for c in table.symbols] == [rows] * len(SYMBOLIC_COLUMNS)
+    assert len(table.labels) == rows
+
+
 class TestParse:
     def test_well_formed_line(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "one.csv"
-        path.write_text(make_kdd_line(rng, "normal") + "\n")
-        records = parse_kdd_csv(path)
-        assert len(records) == 1
-        assert len(records[0].features) == N_FEATURES
-        assert records[0].label == "normal"
+        line = make_kdd_line(rng, "normal")
+        path.write_text(line + "\n")
+        table = parse_kdd_csv(path)
+        assert_shape(table, 1)
+        fields = line.split(",")
+        assert [c[0] for c in table.symbols] == fields[1:4]
+        assert table.numeric[0].tolist() == [float(fields[c])
+                                             for c in NUMERIC_COLUMNS]
+        assert table.labels == ["normal"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert parse_kdd_csv(path) == []
+        assert_shape(parse_kdd_csv(path), 0)
 
     def test_short_line_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -40,25 +54,33 @@ class TestParse:
         rng = np.random.default_rng(0)
         path = tmp_path / "nsl.csv"
         path.write_text(make_kdd_line(rng, "smurf") + ",17\n")
-        records = parse_kdd_csv(path)
-        assert len(records[0].features) == N_FEATURES
-        assert records[0].label == "smurf"
+        table = parse_kdd_csv(path)
+        assert_shape(table, 1)
+        assert table.labels == ["smurf"]
 
     def test_trailing_dot_stripped(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "dot.csv"
         path.write_text(make_kdd_line(rng, "neptune.") + "\n")
-        assert parse_kdd_csv(path)[0].label == "neptune"
+        assert parse_kdd_csv(path).labels == ["neptune"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError, match="nope.csv"):
             parse_kdd_csv(tmp_path / "nope.csv")
 
-    def test_record_invariants(self):
-        with pytest.raises(ValueError):
-            FlowRecord(features=["0"] * 40, label="normal")
-        with pytest.raises(ValueError):
-            FlowRecord(features=["0"] * 41, label="")
+    def test_record_invariants(self, tmp_path):
+        rng = np.random.default_rng(0)
+        good = make_kdd_line(rng, "normal")
+        path = tmp_path / "bad.csv"
+        # 40 features and a label
+        path.write_text(good + "\n" + good.split(",", 1)[1] + "\n")
+        with pytest.raises(ValueError, match="line 2: expected 42 fields, "
+                                             "got 41"):
+            parse_kdd_csv(path)
+        for label in ("", "."):
+            path.write_text(good + "\n\n" + good[:-len("normal")] + label)
+            with pytest.raises(ValueError, match="line 3: empty label"):
+                parse_kdd_csv(path)
 
 
 class TestAttackMapping:
@@ -118,12 +140,13 @@ class TestEncode:
         if set(enc) == {"icmp", "tcp", "udp"}:
             assert enc == {"icmp": 0, "tcp": 1, "udp": 2}
 
-    def test_numeric_passthrough(self):
+    def test_numeric_passthrough(self, tmp_path):
         numeric = np.arange(N_FEATURES, dtype=float)
+        numeric[0] = 0.1 + 0.2  # value without a short decimal form
         rng = np.random.default_rng(0)
-        line = make_kdd_line(rng, "normal", numeric=numeric)
-        rec = FlowRecord(features=line.split(",")[:-1], label="normal")
-        ds = encode([rec])
+        path = tmp_path / "one.csv"
+        path.write_text(make_kdd_line(rng, "normal", numeric=numeric))
+        ds = encode(parse_kdd_csv(path))
         keep = [i for i in range(N_FEATURES) if i not in (1, 2, 3)]
         assert np.array_equal(ds.X[0, keep], numeric[keep])
 
@@ -133,16 +156,132 @@ class TestEncode:
         assert np.array_equal(a.X, b.X)
         assert a.encoders == b.encoders
 
-    def test_unparseable_numeric_field(self):
+    def test_unparseable_numeric_field(self, tmp_path):
         rng = np.random.default_rng(0)
-        fields = make_kdd_line(rng, "normal").split(",")[:-1]
+        good = make_kdd_line(rng, "normal")
+        fields = good.split(",")
         fields[0] = "oops"
-        with pytest.raises(ValueError, match="row 0, column 0"):
-            encode([FlowRecord(features=fields, label="normal")])
+        path = tmp_path / "bad.csv"
+        # the error names the file's line, blank lines counted
+        path.write_text(f"{good}\n  \n{','.join(fields)}\n")
+        with pytest.raises(ValueError, match="'oops'.* on line 3, column 1"):
+            parse_kdd_csv(path)
 
-    def test_empty_records(self):
-        with pytest.raises(ValueError):
-            encode([])
+    def test_empty_records(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="empty flow table"):
+            encode(parse_kdd_csv(path))
+
+    def test_reuses_given_encoders(self, tmp_path):
+        # a training split sees http and smtp, a test split ftp and http:
+        # with the training encoders http keeps its code, ftp gets the
+        # reserved code len(dictionary)
+        rng = np.random.default_rng(4)
+        tables = []
+        for name, services in (("train", ["http", "smtp", "http"]),
+                               ("test", ["ftp", "http", "ftp"])):
+            lines = [make_kdd_line(rng, "normal").split(",")
+                     for _ in services]
+            for fields, service in zip(lines, services):
+                fields[2] = service
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(",".join(f) for f in lines))
+            tables.append(parse_kdd_csv(path))
+        train = encode(tables[0])
+        assert train.encoders["service"] == {"http": 0, "smtp": 1}
+        assert encode(tables[1]).encoders["service"] == {"ftp": 0,
+                                                         "http": 1}
+        test = encode(tables[1], train.encoders)
+        assert test.encoders == train.encoders
+        assert test.X[:, 2].tolist() == [2, 0, 2]
+
+
+def reference_parse_encode(path):
+    """The former per-field reader, kept as the oracle: one list of field
+    strings per line, float() per numeric field; (X, y, encoders)."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh.readlines():
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) == N_FEATURES + 2:
+                fields = fields[:-1]  # drop difficulty column
+            assert len(fields) == N_FEATURES + 1
+            records.append((fields[:-1], fields[-1].rstrip(".")))
+    encoders = {}
+    for col in SYMBOLIC_COLUMNS:
+        values = sorted({features[col] for features, _ in records})
+        encoders[FEATURE_NAMES[col]] = {v: i for i, v in enumerate(values)}
+    X = np.empty((len(records), N_FEATURES), dtype=np.float64)
+    y = np.empty(len(records), dtype=np.int64)
+    for row, (features, label) in enumerate(records):
+        for col, raw in enumerate(features):
+            X[row, col] = (encoders[FEATURE_NAMES[col]][raw]
+                           if col in SYMBOLIC_COLUMNS else float(raw))
+        y[row] = int(map_attack_to_class(label))
+    return X, y, encoders
+
+
+NUMBER_FORMS = [repr, "{:.3e}".format, "{:+.6f}".format, "{:.17g}".format,
+                lambda v: f" {v!r}\t", lambda v: str(int(v)),
+                lambda v: "-0.0", lambda v: ".5", lambda v: "5.",
+                lambda v: "4.9e-324", lambda v: "1.7976931348623157e308"]
+
+
+def write_messy_kdd(path, seed, rows=300):
+    """KDD lines in the forms a capture may take: 42- and 43-field lines
+    mixed, blank and whitespace-only lines, LF and CRLF line ends,
+    upper-case labels with a trailing '.', numbers written many ways."""
+    rng = np.random.default_rng(seed)
+    labels = ["normal", "smurf", "satan", "rootkit", "guess_passwd", "back"]
+    lines = []
+    for _ in range(rows):
+        fields = make_kdd_line(rng, "").split(",")
+        for col in rng.choice(NUMERIC_COLUMNS, size=6):
+            value = float(rng.normal() * 10.0 ** rng.integers(-8, 9))
+            fields[col] = NUMBER_FORMS[rng.integers(len(NUMBER_FORMS))](
+                value)
+        label = labels[rng.integers(len(labels))]
+        fields[-1] = (label.upper() if rng.random() < 0.3 else label) + (
+            "." if rng.random() < 0.5 else "")
+        if rng.random() < 0.3:
+            fields.append(str(rng.integers(22)))  # difficulty
+        lines.append(",".join(fields))
+        if rng.random() < 0.1:
+            lines.append(["", "   ", "\t", " \t "][rng.integers(4)])
+    ends = rng.choice(["\n", "\r\n"], size=len(lines))
+    path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode())
+    return path
+
+
+class TestMatchesPerFieldReader:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bytes_labels_and_encoders(self, tmp_path, seed):
+        path = write_messy_kdd(tmp_path / "messy.csv", seed)
+        raw = path.read_bytes()
+        assert b"\r\n" in raw and re.search(rb"\n[ \t]+\r?\n", raw)
+        assert re.search(rb"\n\r?\n", raw) and b"NORMAL." in raw
+        X, y, encoders = reference_parse_encode(path)
+        ds = encode(parse_kdd_csv(path))
+        assert ds.X.tobytes() == X.tobytes()
+        assert ds.y.tolist() == y.tolist()
+        assert ds.encoders == encoders
+
+    @pytest.mark.parametrize("number", ["1_0", "\u0661", "\uff11"])
+    def test_python_only_number_forms_are_errors(self, tmp_path, number):
+        # float() takes digit-group underscores and non-ASCII digits; the
+        # C reader does not
+        rng = np.random.default_rng(0)
+        fields = make_kdd_line(rng, "normal").split(",")
+        fields[4] = number
+        path = tmp_path / "odd.csv"
+        path.write_text(",".join(fields), encoding="utf-8")
+        assert float(number) in (10.0, 1.0)
+        with pytest.raises(ValueError, match="on line 1, column 5"):
+            parse_kdd_csv(path)
 
 
 class TestDownsample:

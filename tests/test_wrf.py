@@ -517,6 +517,12 @@ class TestWeightedVote:
         forest = constant_forest([3, 1], np.ones((5, 2)))
         assert predict_batch(forest, np.zeros((1, 3)))[0] == 1
 
+    def test_forest_without_trees_is_an_error(self):
+        forest = constant_forest([], np.ones((5, 0)))
+        for rows in (0, 1, 5):
+            with pytest.raises(ValueError, match="forest has no trees"):
+                predict_batch(forest, np.zeros((rows, 3)))
+
 
 def partition_predict(tree, X):
     """DecisionTree.predict before the level-by-level router: the rows are
