@@ -291,15 +291,22 @@ def run(fitness_fn, d: int, cfg: BatConfig) -> BatResult:
 def wrapper_fitness(mask: np.ndarray, train, valid, eval_seed: int,
                     penalty: float = 0.01) -> float:
     """Probe-classifier fitness: validation accuracy of a depth-capped CART
-    trained on the masked features, minus penalty * popcount / d."""
-    from .wrf import TreeConfig, train_tree
+    grown on the distinct rows under the mask, minus penalty * popcount / d.
+    Counts are passed only when a row repeats: the uncounted scan is faster."""
+    from .wrf import TreeConfig, distinct_rows, train_tree
 
     mask = np.asarray(mask, dtype=np.uint8)
     if not mask.any():
         raise ValueError("empty feature mask")
+    if mask.size != train.n_features:
+        raise ValueError("mask width does not match dataset feature count")
     cols = np.flatnonzero(mask)
-    rng = np.random.default_rng(eval_seed)
-    tree = train_tree(train.X[:, cols], train.y, cols,
-                      TreeConfig(max_depth=10, max_features=None), rng)
+    X = train.X[:, cols]
+    first, group = distinct_rows(X, train.y)
+    count = np.bincount(group)
+    tree = train_tree(X[first], train.y[first], cols,
+                      TreeConfig(max_depth=10, max_features=None),
+                      np.random.default_rng(eval_seed),
+                      count if count.size < group.size else None)
     acc = float(np.mean(tree.predict(valid.X) == valid.y))
     return acc - penalty * mask.sum() / mask.size

@@ -208,7 +208,10 @@ def _load_checked(load, path, what):
 
 
 def _load_data(path):
-    return _load_checked(load_dataset, path, "ingested dataset")
+    ds = _load_checked(load_dataset, path, "ingested dataset")
+    if not ds.n_samples:
+        raise DataError(f"ingested dataset {path} holds no flows")
+    return ds
 
 
 def train_model(ds, mask, config_doc, seed, out_path):

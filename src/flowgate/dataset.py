@@ -118,7 +118,7 @@ def parse_kdd_csv(path) -> FlowTable:
 
     Each line holds 41 features plus the label; a trailing difficulty field
     (43 fields total) is tolerated and dropped. Blank and whitespace-only
-    lines are skipped. Labels keep their attack name with any trailing '.'
+    lines are skipped. A label must name a known attack; any trailing '.' is
     stripped. The numeric fields go through numpy's C reader, which rounds
     as float() does but takes only ASCII numbers: '1_0' is an error.
     """
@@ -144,6 +144,10 @@ def parse_kdd_csv(path) -> FlowTable:
         linenos.append(lineno)
         symbols.append(line.split(",", 4)[1:4])
         labels.append(label)
+    for label in dict.fromkeys(labels):
+        if label.lower() not in ATTACK_CLASSES:
+            raise ValueError(f"line {linenos[labels.index(label)]}: unknown "
+                             f"attack label {label!r}")
     if not kept:
         return FlowTable(np.empty((0, len(NUMERIC_COLUMNS))),
                          [[] for _ in SYMBOLIC_COLUMNS], [])
@@ -293,7 +297,7 @@ def load_dataset(path) -> EncodedDataset:
         raise ValueError(f"{path}: not a flowgate dataset file")
     ds = EncodedDataset(
         X=np.array(doc["features"], dtype=np.float64).reshape(
-            len(doc["labels"]), -1),
+            len(doc["labels"]), len(doc["feature_names"])),
         y=np.array(doc["labels"], dtype=np.int64),
         feature_names=doc["feature_names"],
         encoders=doc["encoders"],

@@ -248,6 +248,15 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     return DecisionTree(*map(list, zip(*nodes)))
 
 
+def distinct_rows(X, y):
+    """(first, group): the first row of each group of rows equal byte for
+    byte in X and in y, which grow and predict alike, and each row's group."""
+    key = np.ascontiguousarray(np.column_stack((X, y)))
+    _, first, group = np.unique(key.view(f"V{key.itemsize * key.shape[1]}"),
+                                return_index=True, return_inverse=True)
+    return first, group.reshape(-1)
+
+
 def init_weights(labels, class_weights=None) -> np.ndarray:
     """Per-sample selection weights: each sample of class j gets w_j / N_j.
 
@@ -388,12 +397,9 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     if mask.size != ds.n_features:
         raise ValueError("mask width does not match dataset feature count")
     cols = np.flatnonzero(mask)
-    # rows equal, by bytes, under the mask and in label grow and predict
-    # alike: each tree grows on the distinct rows drawn, with their counts
-    key = np.ascontiguousarray(np.column_stack((ds.X[:, cols], ds.y)))
-    _, first, group = np.unique(key.view(f"V{key.itemsize * key.shape[1]}"),
-                                return_index=True, return_inverse=True)
-    X, y, group = ds.X[first], ds.y[first], group.reshape(-1)
+    # each tree grows on the distinct rows drawn, with their counts
+    first, group = distinct_rows(ds.X[:, cols], ds.y)
+    X, y = ds.X[first], ds.y[first]
     weights = init_weights(ds.y, cfg.class_weights)
     history = [weights.copy()] if record_weights else None
     trees = []

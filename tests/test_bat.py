@@ -1,14 +1,19 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from flowgate import wrf
 from flowgate.bat import (Bat, BatConfig, acceptance_step,
                           differential_mutation, gated_term, inertia_weight,
                           local_search, mutation_probability, run,
                           self_learning_factor, shrinkage_factor,
                           update_position, update_velocity, wrapper_fitness)
+
+from flowgate.dataset import EncodedDataset
+from flowgate.wrf import TreeConfig, train_tree
 
 from conftest import synthetic_dataset
 
@@ -351,3 +356,88 @@ class TestWrapperFitness:
         ds = synthetic_dataset([10] * 5, seed=0, n_features=4)
         with pytest.raises(ValueError):
             wrapper_fitness(np.zeros(4, dtype=np.uint8), ds, ds, 0)
+
+    def test_mask_width_checked(self):
+        ds = synthetic_dataset([10] * 5, seed=0, n_features=4)
+        with pytest.raises(ValueError, match="mask width"):
+            wrapper_fitness(np.ones(3, dtype=np.uint8), ds, ds, 0)
+
+
+def _flows(X, y):
+    return EncodedDataset(X=X, y=y, feature_names=[
+        f"f{i}" for i in range(X.shape[1])], encoders={})
+
+
+def binary_flows(seed, n=500):
+    """Binary columns: few distinct rows, and equal rows differ in y."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, size=(n, 8)).astype(float)
+    y = (X[:, 0] + 2 * X[:, 1] + X[:, 5] + rng.integers(0, 2, n)) % 5
+    return _flows(X, y.astype(int))
+
+
+def gaussian_flows(seed, n=300):
+    """Gaussian columns: every row distinct."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 8))
+    y = (X[:, 0] > 0) + 2 * (X[:, 1] > 0.5) + (X[:, 5] > 1) \
+        + (rng.random(n) < 0.1)
+    return _flows(X, y.astype(int))
+
+
+def shuffled(ds, seed):
+    order = np.random.default_rng(seed).permutation(ds.n_samples)
+    return ds.take(order)
+
+
+MASKS = [np.ones(8, dtype=np.uint8),
+         np.array([1, 1, 0, 0, 0, 1, 0, 0], dtype=np.uint8),
+         np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8),
+         np.array([0, 1, 0, 1, 1, 1, 1, 1], dtype=np.uint8)]
+
+
+class TestProbeOnDistinctRows:
+    """The probe grows on distinct rows; its fitness is that of a tree grown
+    on every row."""
+
+    @staticmethod
+    def oracle(mask, train, valid, leaf, penalty=0.01):
+        cols = np.flatnonzero(mask)
+        tree = train_tree(train.X[:, cols], train.y, cols,
+                          TreeConfig(max_depth=10, min_samples_leaf=leaf,
+                                     max_features=None),
+                          np.random.default_rng(4))
+        acc = float(np.mean(tree.predict(valid.X) == valid.y))
+        return acc - penalty * mask.sum() / mask.size
+
+    @pytest.mark.parametrize("leaf", [1, 2, 5])
+    @pytest.mark.parametrize("make", [
+        binary_flows, gaussian_flows,
+        lambda seed: shuffled(binary_flows(seed), seed),
+        lambda seed: shuffled(gaussian_flows(seed), seed),
+    ], ids=["repeated", "distinct", "repeated-shuffled", "distinct-shuffled"])
+    def test_matches_a_tree_on_every_row(self, monkeypatch, make, leaf):
+        train, valid = make(1), make(2)
+        monkeypatch.setattr(wrf, "TreeConfig", functools.partial(
+            TreeConfig, min_samples_leaf=leaf))
+        for mask in MASKS:
+            assert wrapper_fitness(mask, train, valid, eval_seed=4) == \
+                self.oracle(mask, train, valid, leaf)
+
+    @pytest.mark.parametrize("make,counted", [(binary_flows, True),
+                                              (gaussian_flows, False)])
+    def test_counts_only_when_rows_repeat(self, monkeypatch, make, counted):
+        train = make(1)
+        seen = []
+
+        def spy(X, y, feature_ids, cfg, rng, count=None):
+            seen.append((y.size, count))
+            return train_tree(X, y, feature_ids, cfg, rng, count)
+
+        monkeypatch.setattr(wrf, "train_tree", spy)
+        wrapper_fitness(MASKS[1], train, train, eval_seed=0)
+        (rows, count), = seen
+        if counted:
+            assert rows < train.n_samples and count.sum() == train.n_samples
+        else:
+            assert rows == train.n_samples and count is None

@@ -90,6 +90,24 @@ def test_ingest_oversized_targets_is_data_error(corpus, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["select-features", "train"])
+def test_zero_flow_dataset_is_data_error(pipeline_run, tmp_path, capsys,
+                                         command):
+    out, cfg = pipeline_run
+    empty = tmp_path / "empty.json"
+    assert main(["ingest", "--input", cfg["test_input"], "--targets",
+                 "0,0,0,0,0", "--seed", "0", "--output", str(empty)]) == 0
+    assert load_dataset(str(empty)).X.shape == (0, 41)
+    capsys.readouterr()
+    args = ["--data", str(empty), "--seed", "0",
+            "--out", str(tmp_path / "out.json")]
+    if command == "train":
+        args += ["--mask", str(out / "mask.json")]
+    assert main([command, *args]) == 3
+    assert capsys.readouterr().err == (
+        f"flowgate: ingested dataset {empty} holds no flows\n")
+
+
 # -------------------------------------------------------- feature selection
 
 def test_select_features_writes_mask(pipeline_run):
@@ -333,6 +351,8 @@ BAD_BAT_DOCS = [
     pytest.param("csv", lambda lines: lines.__setitem__(
         1, lines[1].split(",", 1)[1]), 3, id="csv-41-fields"),
     pytest.param("csv", _csv_field(-1, ""), 3, id="csv-empty-label"),
+    pytest.param("csv", _csv_field(-1, "flubber."), 3,
+                 id="csv-unknown-label"),
     pytest.param("csv", b"\xff", 3, id="csv-not-utf8"),
     pytest.param("csv", lambda lines: lines.clear(), 3, id="csv-no-flows"),
     pytest.param("model", DEEP_JSON, 3, id="deep-json-model"),

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -81,6 +82,16 @@ class TestParse:
             path.write_text(good + "\n\n" + good[:-len("normal")] + label)
             with pytest.raises(ValueError, match="line 3: empty label"):
                 parse_kdd_csv(path)
+
+
+    def test_unknown_label_names_its_line(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(make_kdd_line(rng, label) for label in
+                                  ("normal", "smurf.", "flubber.")) + "\n")
+        with pytest.raises(ValueError, match="line 3: unknown attack label "
+                                             "'flubber'"):
+            parse_kdd_csv(path)
 
 
 class TestAttackMapping:
@@ -370,6 +381,27 @@ class TestExchangeFile:
         assert csv.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "cmp.csv", "d.json", "run"]
+
+    def test_zero_flows_round_trip(self, tmp_path):
+        full = encode(parse_kdd_csv(make_kdd_file(tmp_path / "p.csv")))
+        p1, p2 = tmp_path / "d1.json", tmp_path / "d2.json"
+        save_dataset(full.take(np.arange(0)), p1)
+        loaded = load_dataset(p1)
+        assert loaded.X.shape == (0, N_FEATURES) and loaded.y.size == 0
+        save_dataset(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_features_of_wrong_length(self, tmp_path):
+        full = encode(parse_kdd_csv(make_kdd_file(tmp_path / "p.csv")))
+        path = tmp_path / "d.json"
+        save_dataset(full, path)
+        doc = json.loads(path.read_text())
+        doc["features"] = doc["features"][1:]
+        path.write_text(json.dumps(doc))
+        # features reshape to (labels, feature names)
+        with pytest.raises(ValueError, match=re.escape(
+                f"into shape ({full.n_samples},41)")):
+            load_dataset(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

@@ -8,10 +8,10 @@ import pytest
 from flowgate import wrf
 from flowgate.dataset import EncodedDataset
 from flowgate.wrf import (DEFAULT_CLASS_WEIGHTS, DecisionTree, Forest,
-                          ForestConfig, TreeConfig, fit, init_weights,
-                          load_forest, predict_batch, roulette_sample,
-                          save_forest, score_tree, train_tree,
-                          update_weights)
+                          ForestConfig, TreeConfig, distinct_rows, fit,
+                          init_weights, load_forest, predict_batch,
+                          roulette_sample, save_forest, score_tree,
+                          train_tree, update_weights)
 
 from conftest import synthetic_dataset, synthetic_split
 
@@ -688,6 +688,17 @@ class TestFitAndPredict:
         assert forest.trees == trees
         assert np.array_equal(forest.accuracy_matrix,
                               np.stack(acc_rows, axis=1))
+
+    def test_distinct_rows_groups_rows_equal_in_x_and_y(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0],
+                      [-0.0, 1.0]])
+        y = np.array([2, 0, 2, 3, 0])
+        first, group = distinct_rows(X, y)
+        # -0.0 and 0.0 differ in bytes: rows 1 and 4 stay apart
+        assert sorted(first) == [0, 1, 3, 4]
+        assert np.array_equal(first[group[first]], first)
+        assert np.array_equal(X[first][group], X)
+        assert np.array_equal(y[first][group], y)
 
     def test_baseline_degeneration(self):
         ds = synthetic_dataset([20] * 5, seed=7, n_features=6)
