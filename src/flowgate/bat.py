@@ -10,6 +10,9 @@ Bit-string addition and subtraction are both realized as XOR.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,13 +195,57 @@ def _derived_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def run(fitness_fn, d: int, cfg: BatConfig) -> BatResult:
+def cpu_map(fn, items) -> list:
+    """[fn(x) for x in items] over w = min(CPUs this process may run on,
+    len(items)) processes: the caller computes items[0::w] and w - 1 forked
+    children compute items[k::w] and send their results back pickled. fn
+    should catch its own errors: a child that raises or dies ends without a
+    result, a RuntimeError here. On one CPU nothing forks."""
+    items = list(items)
+    w = min(len(os.sched_getaffinity(0)), len(items)) or 1
+    out, pipes, pids = [None] * len(items), [], []
+    try:
+        for k in range(1, w):
+            r, w_fd = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:  # the child never returns to the caller
+                    try:
+                        pickle.dump([fn(x) for x in items[k::w]], writer)
+                        writer.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        out[0::w] = [fn(x) for x in items[0::w]]
+        results = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (data, status) in enumerate(zip(results, statuses), 1):
+        if status:
+            raise RuntimeError(f"worker process {k} of {w} ended without "
+                               f"a result (wait status {status})")
+        out[k::w] = pickle.loads(data)
+    return out
+
+
+def run(fitness_fn, d: int, cfg: BatConfig, map_fn=map) -> BatResult:
     """Run the improved binary bat algorithm and return the best mask found.
 
     fitness_fn maps a d-bit mask to a real score (higher is better) and must
-    be pure; evaluations are memoized on the mask bits. Fully deterministic
-    under cfg.seed: every bat draws from its own (seed, iteration, index)
-    stream, so evaluation order cannot change results.
+    be pure; evaluations are memoized on the mask bits. An iteration has
+    three phases: each bat builds its candidate on its own (seed, iteration,
+    index) stream; the distinct masks not yet memoized are scored as one
+    batch by map_fn (map, or cpu_map), in order of first appearance; each
+    bat accepts and mutates on the same stream. The initial population is
+    one batch too. Results depend on cfg.seed alone, not on map_fn.
     """
     cfg.validate()
     if d < 2:
@@ -206,33 +253,36 @@ def run(fitness_fn, d: int, cfg: BatConfig) -> BatResult:
 
     memo = {}
 
-    def evaluate(mask, t, i):
-        key = mask.tobytes()
-        if key not in memo:
-            try:
-                memo[key] = float(fitness_fn(mask))
-            except Exception as exc:
+    def attempt(mask):
+        try:
+            return True, float(fitness_fn(mask))
+        except Exception as exc:
+            return False, exc
+
+    def evaluate(masks, t):
+        keys = [m.tobytes() for m in masks]
+        fresh = [k for k in dict.fromkeys(keys) if k not in memo]
+        for key, (ok, value) in zip(fresh, map_fn(
+                attempt, [masks[keys.index(k)] for k in fresh])):
+            if not ok:
                 raise RuntimeError(
-                    f"fitness evaluation failed at iteration {t}, bat {i}: "
-                    f"{exc}") from exc
-        return memo[key]
+                    f"fitness evaluation failed at iteration {t}, "
+                    f"bat {keys.index(key)}: {value}") from value
+            memo[key] = value
+        return [memo[k] for k in keys]
 
     init_rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
-    bats = []
-    for i in range(cfg.n_bats):
-        pos = random_mask(d, init_rng)
-        fit = evaluate(pos, 0, i)
-        bats.append(Bat(
-            position=pos,
-            velocity=np.zeros(d, dtype=np.uint8),
-            frequency=cfg.freq_min,
-            loudness=cfg.loudness_init,
-            pulse_rate=0.0,
-            pulse_rate_init=cfg.pulse_rate_init,
-            fitness=fit,
-            best_position=pos.copy(),
-            best_fitness=fit,
-        ))
+    start = [random_mask(d, init_rng) for _ in range(cfg.n_bats)]
+    bats = [Bat(position=pos,
+                velocity=np.zeros(d, dtype=np.uint8),
+                frequency=cfg.freq_min,
+                loudness=cfg.loudness_init,
+                pulse_rate=0.0,
+                pulse_rate_init=cfg.pulse_rate_init,
+                fitness=fit,
+                best_position=pos.copy(),
+                best_fitness=fit)
+            for pos, fit in zip(start, evaluate(start, 0))]
 
     def global_best():
         best = max(range(cfg.n_bats),
@@ -256,25 +306,28 @@ def run(fitness_fn, d: int, cfg: BatConfig) -> BatResult:
         mean_loudness = float(np.mean([b.loudness for b in bats]))
         anchor_g = g_pos.copy()
 
-        for i in range(cfg.n_bats):
+        rngs, candidates = [], []
+        for i, bat in enumerate(bats):
             rng = np.random.default_rng(_derived_seed(cfg.seed, 2, t, i))
-            bat = bats[i]
             subgroup = int(division.assignments[i])
-            is_local_best = i == local_best[subgroup]
-            # anchors come from the iteration-start snapshot so per-bat
-            # updates can run in any order
-            anchor = anchor_g if is_local_best \
+            # anchors come from the iteration-start snapshot, so a bat's
+            # candidate depends on no other bat's step in this iteration
+            anchor = anchor_g if i == local_best[subgroup] \
                 else positions[local_best[subgroup]]
             bat.frequency = cfg.freq_min + \
                 (cfg.freq_max - cfg.freq_min) * rng.random()
-            v_new = update_velocity(bat, anchor, t, cfg, rng)
-            bat.velocity = v_new
-            candidate = update_position(bat.position, v_new, rng)
+            bat.velocity = update_velocity(bat, anchor, t, cfg, rng)
+            candidate = update_position(bat.position, bat.velocity, rng)
             if rng.random() > bat.pulse_rate:
                 candidate = local_search(anchor_g, mean_loudness, rng)
-            cand_fit = evaluate(candidate, t, i)
+            rngs.append(rng)
+            candidates.append(candidate)
+
+        for i, (bat, candidate, cand_fit, rng) in enumerate(zip(
+                bats, candidates, evaluate(candidates, t), rngs)):
             acceptance_step(bat, candidate, cand_fit, t, cfg, rng)
             if cfg.use_mutation and rng.random() < p_t:
+                subgroup = int(division.assignments[i])
                 mutated = differential_mutation(
                     i, positions, division.members(subgroup),
                     np.flatnonzero(division.assignments != subgroup),

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bat import BatConfig, run as run_bat, wrapper_fitness
+from .bat import BatConfig, cpu_map, run as run_bat, wrapper_fitness
 from .dataset import (EncodedDataset, FlowClass, N_CLASSES, check_doc,
                       dataset_hash, encode, field_types, load_dataset,
                       parse_kdd_csv, save_dataset, stratified_downsample,
@@ -171,7 +171,7 @@ def select_features(ds, config_doc, seed, out_path):
                                penalty=cfg.penalty)
 
     try:
-        result = run_bat(fitness, ds.n_features, cfg)
+        result = run_bat(fitness, ds.n_features, cfg, cpu_map)
     except RuntimeError as exc:
         raise DataError(str(exc)) from exc
     write_json({
@@ -207,11 +207,15 @@ def _load_checked(load, path, what):
         raise DataError(f"cannot load {what} {path}: {exc}") from exc
 
 
-def _load_data(path):
-    ds = _load_checked(load_dataset, path, "ingested dataset")
+def _holds_flows(ds, path):
     if not ds.n_samples:
         raise DataError(f"ingested dataset {path} holds no flows")
     return ds
+
+
+def _load_data(path):
+    return _holds_flows(_load_checked(load_dataset, path, "ingested dataset"),
+                        path)
 
 
 def train_model(ds, mask, config_doc, seed, out_path):
@@ -337,10 +341,12 @@ def cmd_pipeline(config_path):
         return result
 
     def ingest():  # the test split is encoded with the training encoders
-        train = cmd_ingest(doc["train_input"], doc["train_targets"], seed,
-                           paths["train"])
-        return train, cmd_ingest(doc["test_input"], doc["test_targets"],
-                                 seed + 1, paths["test"], train.encoders)
+        train = _holds_flows(cmd_ingest(doc["train_input"],
+                                        doc["train_targets"], seed,
+                                        paths["train"]), paths["train"])
+        return train, _holds_flows(cmd_ingest(
+            doc["test_input"], doc["test_targets"], seed + 1, paths["test"],
+            train.encoders), paths["test"])
 
     train, test = stage("ingest", ingest)
     mask = stage("select-features", lambda: select_features(

@@ -278,16 +278,28 @@ def check_doc(doc, types, required=()) -> dict:
 
 def save_dataset(ds: EncodedDataset, path) -> None:
     """Write the dataset exchange file (self-describing JSON, round-trips
-    bit-exactly)."""
+    bit-exactly): write_json's bytes with "features": ds.X.tolist(), but
+    each distinct float64 bit pattern of a column (so -0.0 apart from 0.0)
+    formatted once, as json does, with float.__repr__. "features" sorts
+    just before "format", which only the integer "labels" follows."""
     doc = {
         "format": DATASET_FORMAT,
         "feature_names": list(ds.feature_names),
         "encoders": ds.encoders,
         "class_counts": ds.class_counts.tolist(),
         "labels": ds.y.tolist(),
-        "features": ds.X.tolist(),
     }
-    write_json(doc, path)
+    cells = np.empty(ds.X.shape, dtype=object)
+    for j, column in enumerate(ds.X.T):
+        patterns, index = np.unique(column.view(np.uint64),
+                                    return_inverse=True)
+        cells[:, j] = np.array([float.__repr__(v) for v in patterns.view(
+            np.float64).tolist()], dtype=object)[index]
+    rows = ",".join(["[" + ",".join(row) + "]" for row in cells])
+    del cells  # free before the file text is built: it sets the peak RSS
+    head, sep, tail = json.dumps(doc, sort_keys=True, separators=(
+        ",", ":")).rpartition(',"format":')
+    write_text(f'{head},"features":[{rows}]{sep}{tail}', path)
 
 
 def load_dataset(path) -> EncodedDataset:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,17 @@ def synthetic_split(train_counts, test_counts, seed=0, **kwargs):
 @pytest.fixture
 def tiny_kdd_file(tmp_path):
     return make_kdd_file(tmp_path / "flows.csv", seed=1)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test after which this process still has a child, running or
+    exited but not waited for."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind "
+                f"(waitpid gave pid {pid}, status {status}; pid 0 means "
+                f"one is still running)")

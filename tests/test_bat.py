@@ -1,16 +1,20 @@
 import functools
 import itertools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
 from flowgate import wrf
-from flowgate.bat import (Bat, BatConfig, acceptance_step,
-                          differential_mutation, gated_term, inertia_weight,
-                          local_search, mutation_probability, run,
-                          self_learning_factor, shrinkage_factor,
-                          update_position, update_velocity, wrapper_fitness)
+from flowgate.balanced_kmeans import cluster
+from flowgate.bat import (Bat, BatConfig, _derived_seed, acceptance_step,
+                          cpu_map, differential_mutation, gated_term,
+                          inertia_weight, local_search, mutation_probability,
+                          random_mask, run, self_learning_factor,
+                          shrinkage_factor, update_position, update_velocity,
+                          wrapper_fitness)
 
 from flowgate.dataset import EncodedDataset
 from flowgate.wrf import TreeConfig, train_tree
@@ -441,3 +445,170 @@ class TestProbeOnDistinctRows:
             assert rows < train.n_samples and count.sum() == train.n_samples
         else:
             assert rows == train.n_samples and count is None
+
+
+def interleaved_run(fitness_fn, d, cfg):
+    """Reference: the bat algorithm with each bat scoring and accepting its
+    candidate before the next bat moves, each on its own stream."""
+    memo = {}
+
+    def evaluate(mask):
+        key = mask.tobytes()
+        if key not in memo:
+            memo[key] = float(fitness_fn(mask))
+        return memo[key]
+
+    init_rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
+    bats = []
+    for _ in range(cfg.n_bats):
+        pos = random_mask(d, init_rng)
+        fit = evaluate(pos)
+        bats.append(Bat(pos, np.zeros(d, dtype=np.uint8), cfg.freq_min,
+                        cfg.loudness_init, 0.0, cfg.pulse_rate_init, fit,
+                        pos.copy(), fit))
+
+    def global_best():
+        best = max(range(cfg.n_bats),
+                   key=lambda i: (bats[i].best_fitness, -i))
+        return bats[best].best_position.copy(), bats[best].best_fitness
+
+    g_pos, g_fit = global_best()
+    trace = [g_fit]
+    for t in range(1, cfg.n_iterations + 1):
+        p_t = mutation_probability(t - 1, cfg) if cfg.use_mutation else 0.0
+        positions = np.stack([b.position for b in bats])
+        division = cluster(positions, cfg.n_subgroups,
+                           _derived_seed(cfg.seed, 1, t))
+        leader = {}
+        for n in range(cfg.n_subgroups):
+            members = division.members(n)
+            leader[n] = members[int(np.argmax(
+                [bats[i].fitness for i in members]))]
+        mean_loudness = float(np.mean([b.loudness for b in bats]))
+        anchor_g = g_pos.copy()
+        for i, bat in enumerate(bats):
+            rng = np.random.default_rng(_derived_seed(cfg.seed, 2, t, i))
+            group = int(division.assignments[i])
+            anchor = anchor_g if i == leader[group] \
+                else positions[leader[group]]
+            bat.frequency = cfg.freq_min + \
+                (cfg.freq_max - cfg.freq_min) * rng.random()
+            bat.velocity = update_velocity(bat, anchor, t, cfg, rng)
+            candidate = update_position(bat.position, bat.velocity, rng)
+            if rng.random() > bat.pulse_rate:
+                candidate = local_search(anchor_g, mean_loudness, rng)
+            acceptance_step(bat, candidate, evaluate(candidate), t, cfg, rng)
+            if cfg.use_mutation and rng.random() < p_t:
+                mutated = differential_mutation(
+                    i, positions, division.members(group),
+                    np.flatnonzero(division.assignments != group),
+                    t, cfg, rng)
+                if mutated is not None:
+                    bat.velocity = mutated
+        g_pos, g_fit = global_best()
+        trace.append(g_fit)
+    return g_pos, g_fit, trace
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """cpu_map sees two CPUs, so it forks one child, on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestBatchedRun:
+    """run scores each iteration as one batch; the result is that of the
+    interleaved loop, in process or over two worker processes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_bats, n_subgroups", [(1, 1), (2, 1), (9, 2)])
+    def test_matches_the_interleaved_loop(self, two_cpus, seed, n_bats,
+                                          n_subgroups):
+        probe = functools.partial(wrapper_fitness, train=binary_flows(1),
+                                  valid=binary_flows(2), eval_seed=seed)
+        scored = {"reference": [], "map": [], "cpu_map": []}
+
+        def recorded(name):
+            return lambda mask: scored[name].append(mask.tolist()) or \
+                probe(mask)
+
+        cfg = BatConfig(n_bats=n_bats, n_subgroups=n_subgroups,
+                        n_iterations=8, seed=seed)
+        mask, fit, trace = interleaved_run(recorded("reference"), 8, cfg)
+        for map_fn in (map, cpu_map):
+            res = run(recorded(map_fn.__name__), 8, cfg, map_fn)
+            assert (res.mask.tolist(), res.fitness, res.trace) == \
+                (mask.tolist(), fit, trace)
+        # the same masks are scored in the same order; cpu_map's children
+        # score theirs in copies of the record
+        assert scored["map"] == scored["reference"]
+
+    def test_error_in_a_child_reads_as_serial(self, two_cpus):
+        cfg = BatConfig(n_bats=6, n_subgroups=2, n_iterations=3, seed=5)
+        scored = []
+
+        def record(mask):
+            scored.append(mask.tobytes())
+            return float(mask.sum())
+
+        run(record, 8, cfg)
+        # the child scores the second distinct mask of the first batch
+        second = list(dict.fromkeys(scored))[1]
+        parent = os.getpid()
+
+        def fails_on_second(mask):
+            if mask.tobytes() == second:
+                raise ValueError(f"no score for {mask.tolist()}")
+            return float(mask.sum())
+
+        def fails_in_child(mask):
+            if os.getpid() != parent:
+                raise ValueError(f"no score for {mask.tolist()}")
+            return float(mask.sum())
+
+        with pytest.raises(RuntimeError) as serial:
+            run(fails_on_second, 8, cfg)
+        with pytest.raises(RuntimeError) as forked:
+            run(fails_in_child, 8, cfg, cpu_map)
+        assert str(forked.value) == str(serial.value)
+        assert str(serial.value).startswith(
+            "fitness evaluation failed at iteration 0, bat ")
+        assert type(forked.value.__cause__) is ValueError
+
+
+def pid_and_square(x):
+    return os.getpid(), x * x
+
+
+class TestCpuMap:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_matches_map_and_forks(self, two_cpus, n):
+        out = cpu_map(pid_and_square, range(n))
+        assert [x for _, x in out] == [i * i for i in range(n)]
+        pids = [pid for pid, _ in out]
+        assert set(pids[0::2]) <= {os.getpid()}
+        assert os.getpid() not in pids[1::2] and len(set(pids[1::2])) <= 1
+
+    def test_child_without_result_is_runtime_error(self, two_cpus):
+        parent = os.getpid()
+
+        def dies_in_child(x):
+            if os.getpid() != parent:
+                os._exit(1)
+            return x
+
+        with pytest.raises(RuntimeError, match="without a result"):
+            cpu_map(dies_in_child, range(4))
+
+    def test_error_in_parent_kills_the_children(self, two_cpus):
+        parent = os.getpid()
+
+        def slow_in_child(x):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyError(x)
+
+        start = time.monotonic()
+        with pytest.raises(KeyError):
+            cpu_map(slow_in_child, range(2))
+        assert time.monotonic() - start < 30

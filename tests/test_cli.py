@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -145,6 +146,44 @@ def test_select_features_invalid_value_is_config_error(pipeline_run,
 
 # ------------------------------------------------------- train and classify
 
+def _select_features(out, tmp_path):
+    bat = tmp_path / "bat.json"
+    bat.write_text(json.dumps(BAT_DOC))
+    return main(["select-features", "--data", str(out / "train.json"),
+                 "--config", str(bat), "--seed", "0",
+                 "--out", str(tmp_path / "mask.json")])
+
+
+def test_select_features_worker_without_result_is_data_error(
+        pipeline_run, tmp_path, monkeypatch, capsys):
+    out, _ = pipeline_run
+    parent, probe = os.getpid(), cli.wrapper_fitness
+
+    def dies_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "wrapper_fitness", dies_in_child)
+    assert _select_features(out, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("flowgate: worker process 1 of 2 ended without "
+                          "a result") and err.count("\n") == 1, err
+
+
+def test_select_features_on_one_cpu_never_forks(pipeline_run, tmp_path,
+                                                monkeypatch):
+    out, _ = pipeline_run
+
+    def fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", fork)
+    assert _select_features(out, tmp_path) == 0
+
+
 def test_train_rejects_foreign_mask_file(pipeline_run, tmp_path):
     out, _ = pipeline_run
     fake = tmp_path / "mask.json"
@@ -275,6 +314,10 @@ BAD_BAT_DOCS = [
                  id="pipeline-two-targets"),
     pytest.param("pipeline", {"test_targets": [5, 5, -1, 5, 5]}, 2,
                  id="pipeline-negative-target"),
+    pytest.param("pipeline", {"train_targets": [0] * 5}, 3,
+                 id="pipeline-empty-train-split"),
+    pytest.param("pipeline", {"test_targets": [0] * 5}, 3,
+                 id="pipeline-empty-test-split"),
     pytest.param("report", lambda d: {k: v for k, v in d.items()
                                       if k != "cost"}, 3,
                  id="report-missing-metric"),
@@ -476,6 +519,37 @@ def test_pipeline_is_deterministic(pipeline_run, corpus, tmp_path):
     assert main(["pipeline", "--config", str(cfg_path)]) == 0
     for name in ("mask.json", "model.json", "report.json"):
         assert (rerun_dir / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_pipeline_bytes_do_not_depend_on_worker_count(pipeline_run,
+                                                     tmp_path, monkeypatch):
+    _, cfg = pipeline_run
+    runs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        (tmp_path / "config.json").write_text(json.dumps(
+            dict(cfg, output_dir=str(out))))
+        assert main(["pipeline", "--config", str(tmp_path / "config.json")]) \
+            == 0
+        runs[len(cpus)] = [(out / f"{name}.json").read_bytes()
+                           for name in ("mask", "model", "report")]
+    assert runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_pipeline_names_an_empty_split(pipeline_run, tmp_path, capsys,
+                                       split):
+    _, cfg = pipeline_run
+    out = tmp_path / "run"
+    (tmp_path / "config.json").write_text(json.dumps(dict(
+        cfg, output_dir=str(out), **{f"{split}_targets": [0] * 5})))
+    assert main(["pipeline", "--config", str(tmp_path / "config.json")]) == 3
+    assert capsys.readouterr().err == (
+        f"flowgate: ingested dataset {out / split}.json holds no flows\n")
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "failed at ingest"
+    assert not (out / "mask.json").exists()
 
 
 def test_pipeline_baseline_variant(corpus, tmp_path):

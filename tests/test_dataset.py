@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from flowgate.cli import cmd_compare
-from flowgate.dataset import (FEATURE_NAMES, N_CLASSES, NUMERIC_COLUMNS,
-                              SYMBOLIC_COLUMNS, FlowClass, N_FEATURES,
-                              check_doc, dataset_hash, encode, fits,
+from flowgate.dataset import (DATASET_FORMAT, FEATURE_NAMES, N_CLASSES,
+                              NUMERIC_COLUMNS, SYMBOLIC_COLUMNS, EncodedDataset,
+                              FlowClass, N_FEATURES, check_doc, dataset_hash, encode, fits,
                               load_dataset, map_attack_to_class,
                               parse_kdd_csv, save_dataset,
                               stratified_downsample, write_json)
@@ -354,6 +354,29 @@ class TestExchangeFile:
         save_dataset(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert dataset_hash(p1) == dataset_hash(p2)
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 60])
+    def test_writes_the_bytes_of_json_dumps(self, tmp_path, rows):
+        """Oracle: write_json of the document with "features" as
+        X.tolist(); -0.0 and 0.0 share a value but not a bit pattern."""
+        values = [-0.0, 0.0, 0.1, 1e16, 5e-324, 1e-7, 2.0 ** 63,
+                  123456789012345678.0, 0.1 + 0.2, -7.0]
+        rng = np.random.default_rng(rows)
+        ds = EncodedDataset(
+            X=rng.choice(values, size=(rows, 5)),
+            y=rng.integers(0, N_CLASSES, rows), feature_names=list("abcde"),
+            # symbols named like top-level keys do not move the splice
+            encoders={"service": {"features": 0, "format": 1}})
+        path, oracle = tmp_path / "d.json", tmp_path / "oracle.json"
+        save_dataset(ds, path)
+        write_json({"format": DATASET_FORMAT,
+                    "feature_names": ds.feature_names,
+                    "encoders": ds.encoders,
+                    "class_counts": ds.class_counts.tolist(),
+                    "labels": ds.y.tolist(), "features": ds.X.tolist()},
+                   oracle)
+        assert path.read_bytes() == oracle.read_bytes()
+        assert load_dataset(path).X.tobytes() == ds.X.tobytes()
 
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path = tmp_path / "d.json"
