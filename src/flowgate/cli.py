@@ -114,6 +114,8 @@ def load_cost_matrix(path) -> np.ndarray:
     if matrix.shape != (N_CLASSES, N_CLASSES):
         raise DataError(f"cost matrix {path} must be 5x5, "
                         f"got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise DataError(f"cost matrix {path} holds a non-finite entry")
     return matrix
 
 
@@ -296,17 +298,17 @@ def cmd_pipeline(config_path):
         raise ConfigError(f"invalid pipeline config: {exc}") from exc
     for key in ("train_targets", "test_targets"):
         _check_targets(doc[key], f"pipeline {key}")
+    seed = _check_seed(doc["seed"], "pipeline seed")
     _require_file(doc["train_input"], "training dataset")
     _require_file(doc["test_input"], "test dataset")
     if doc.get("cost_matrix"):
         _require_file(doc["cost_matrix"], "cost matrix")
-    out_dir = doc["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    seed = doc["seed"]
     bat_doc = doc.get("bat", {})
     rf_doc = doc.get("rf", {})
     bat_cfg, _ = bat_config_from_doc(bat_doc, seed)
     rf_cfg = rf_config_from_doc(rf_doc)
+    out_dir = doc["output_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     # hash only result-affecting keys so identical experiments agree
     # regardless of where their inputs and artifacts live
     cfg_hash = _config_hash({k: v for k, v in doc.items()
@@ -414,6 +416,13 @@ def _check_targets(targets, what="targets"):
     return targets
 
 
+def _check_seed(seed, what="--seed"):
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, "
+                          f"got {seed}")
+    return seed
+
+
 def _parse_targets(text):
     try:
         return _check_targets([int(v) for v in text.split(",")])
@@ -481,6 +490,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_seed(getattr(args, "seed", 0))  # ingest, select-features, train
         if args.command == "ingest":
             cmd_ingest(args.input, _parse_targets(args.targets), args.seed,
                        args.output)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -307,14 +308,18 @@ def load_dataset(path) -> EncodedDataset:
         doc = json.load(fh)
     if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path}: not a flowgate dataset file")
+    labels, rows = doc["labels"], doc["features"]
+    # numpy would truncate 0.5, parse "2" and read true as 1
+    if not (isinstance(labels, list) and set(map(type, labels)) <= {int}
+            and all(0 <= v < N_CLASSES for v in labels)):
+        raise ValueError(f"{path}: labels must be class codes 0-4")
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError(f"{path}: features must be rows of numbers")
     ds = EncodedDataset(
-        X=np.array(doc["features"], dtype=np.float64).reshape(
-            len(doc["labels"]), len(doc["feature_names"])),
-        y=np.array(doc["labels"], dtype=np.int64),
-        feature_names=doc["feature_names"],
-        encoders=doc["encoders"],
-    )
-    if list(ds.class_counts) != list(doc["class_counts"]):
+        X=np.array(rows, dtype=np.float64).reshape(
+            len(labels), len(doc["feature_names"])), y=labels,
+        feature_names=doc["feature_names"], encoders=doc["encoders"])
+    if ds.class_counts.tolist() != doc["class_counts"]:
         raise ValueError(f"{path}: stored class counts do not match labels")
     return ds
 

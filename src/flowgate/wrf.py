@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .dataset import (N_CLASSES, EncodedDataset, check_doc, field_types,
                       fits, write_json)
 
-MODEL_FORMAT = "flowgate-model-v2"
+MODEL_FORMAT = "flowgate-model-v3"
 
 # class priors stated for the five-class split: Normal, Probe, DoS, U2R, R2L
 DEFAULT_CLASS_WEIGHTS = (0.3, 0.15, 0.35, 0.05, 0.15)
@@ -70,34 +69,29 @@ CONFIG_TYPES = {k: t for k, t in field_types(TreeConfig, ForestConfig).items()
                 if k != "tree"}
 
 
-@dataclass
-class DecisionTree:
-    """Greedy Gini CART over a selected-feature subset as five parallel
-    lists, one entry per node in pre-order, node 0 the root. A leaf has
-    left -1 and predicts its label. Split i has label -1 and sends rows with
-    X[:, feature[i]] <= threshold[i] to left[i] == i + 1, else to right[i]."""
+class DecisionTree(NamedTuple):
+    """Greedy Gini CART over a selected-feature subset as the router's node
+    arrays, one entry per node in pre-order, node 0 the root. Split i sends
+    rows with X[:, feature[i]] <= threshold[i] to its left child
+    kids[2i + 1] == i + 1, the others to its right child kids[2i], and has
+    label -1. A leaf is both its children, has feature 0 and threshold 0.0,
+    and predicts label[i]."""
 
-    feature: list
-    threshold: list
-    left: list
-    right: list
-    label: list
+    feature: np.ndarray
+    threshold: np.ndarray
+    label: np.ndarray
+    kids: np.ndarray
 
     def predict(self, X):
-        return route(stack_trees([vars(self)]), X)[0]
+        return route(NodeTable(np.zeros(1, np.int64), *self), X)[0]
 
     def node_count(self):
-        return len(self.left)
-
-
-TREE_TYPES = field_types(DecisionTree)  # the arrays of a model file's tree
+        return self.label.size
 
 
 class NodeTable(NamedTuple):
-    """Trees stacked into one table of nodes. root[t] is tree t's root.
-    Node i splits on column feature[i] (0 at a leaf) at threshold[i], has
-    label[i], and has its right child at kids[2i] and its left at
-    kids[2i + 1]; a leaf is both its children."""
+    """Trees stacked into one table of nodes: their DecisionTree arrays
+    concatenated, each tree's kids offset by root[t], its root's index."""
 
     root: np.ndarray
     feature: np.ndarray
@@ -107,18 +101,12 @@ class NodeTable(NamedTuple):
 
 
 def stack_trees(trees) -> NodeTable:
-    """The table of trees given as mappings of their five node lists;
-    OverflowError for an integer beyond 64 bits."""
-    a = {k: np.array(list(chain.from_iterable(t[k] for t in trees)),
-                     np.float64 if k == "threshold" else np.int64)
-         for k in TREE_TYPES}
-    size = [len(t["left"]) for t in trees]
+    """The table of a sequence of DecisionTrees."""
+    size = np.array([t.node_count() for t in trees])
     root = np.cumsum(size) - size
-    split = a["left"] != -1
-    kids = np.where(split, np.stack((a["right"], a["left"]))
-                    + np.repeat(root, size), np.arange(split.size))
-    return NodeTable(root, np.where(split, a["feature"], 0), a["threshold"],
-                     a["label"], kids.T.ravel())
+    feature, threshold, label, kids = map(np.concatenate, zip(*trees))
+    return NodeTable(root, feature, threshold, label,
+                     kids + np.repeat(root, 2 * size))
 
 
 def route(table: NodeTable, X) -> np.ndarray:
@@ -180,7 +168,7 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     leaf = cfg.min_samples_leaf
     order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
     go_left = np.zeros(y.size, dtype=bool)
-    nodes = []  # [feature, threshold, left, right, label] per node
+    nodes = []  # [feature, threshold, label, right, left] per node
     # an explicit stack, popped left child first: nodes are grown, and
     # rng.choice drawn, in pre-order; a right child sets its parent's right
     stack = [(0, y.size, 0, -1)]
@@ -193,7 +181,7 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
         counts = np.bincount(y[seg], minlength=N_CLASSES) if count is None \
             else np.bincount(y[seg], count[seg], N_CLASSES).astype(np.int64)
         n = int(counts.sum())
-        nodes.append([-1, 0.0, -1, -1, int(np.argmax(counts))])  # a leaf
+        nodes.append([0, 0.0, int(np.argmax(counts)), i, i])  # a leaf
         if depth >= cfg.max_depth or n < 2 * leaf or counts.max() == n:
             continue
         cols = np.sort(rng.choice(d, size=mtry, replace=False)) \
@@ -242,10 +230,11 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
         mid = lo + int(np.count_nonzero(mark[0]))
         order[:, lo:hi] = np.concatenate((seg[mark].reshape(d, -1),
                                           seg[~mark].reshape(d, -1)), axis=1)
-        nodes[i] = [int(feature_ids[c]), float(thr), i + 1, -1, -1]
+        nodes[i] = [int(feature_ids[c]), float(thr), -1, -1, i + 1]
         stack.append((mid, hi, depth + 1, i))
         stack.append((lo, mid, depth + 1, -1))
-    return DecisionTree(*map(list, zip(*nodes)))
+    feature, threshold, label, *kids = map(np.array, zip(*nodes))
+    return DecisionTree(feature, threshold, label, np.stack(kids, 1).ravel())
 
 
 def distinct_rows(X, y):
@@ -363,7 +352,7 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     if not forest.trees:
         raise ValueError("forest has no trees")
     if forest.table is None:
-        forest.table = stack_trees([vars(t) for t in forest.trees])
+        forest.table = stack_trees(forest.trees)
     votes = forest.vote_matrix()
     tree = np.arange(forest.n_trees)[:, None]
     step = max(1, ROUTE_CHUNK // forest.n_trees)
@@ -437,42 +426,54 @@ def config_from_doc(doc: dict, make=ForestConfig) -> ForestConfig:
     return cfg
 
 
-def _stack_checked(docs, features) -> NodeTable:
-    """The node table of a model file's trees, all checked in one pass;
-    ValueError unless in every tree each node but the root is the child of
-    exactly one earlier node of that tree, every split feature is in
-    features, every threshold finite and every leaf label a class code."""
-    for m, doc in enumerate(docs):
-        check_doc(doc, TREE_TYPES, required=TREE_TYPES)
-        if not (doc["left"] and len({len(a) for a in doc.values()}) == 1):
-            raise ValueError(f"tree {m}: node arrays empty or ragged")
-    if any(set(map(type, chain.from_iterable(t[k] for t in docs)))
-           != {float if k == "threshold" else int} for k in TREE_TYPES):
-        raise ValueError("tree arrays must hold integers, thresholds floats")
-    table = stack_trees(docs)
-    size = [len(t["left"]) for t in docs]
-    split = np.fromiter(chain.from_iterable(t["left"] for t in docs),
-                        np.int64) != -1
+def _checked_trees(doc, n_trees, features) -> list:
+    """The trees of a model file's "trees" object: the NodeTable arrays, of
+    integers but for the finite float thresholds, root the start of each
+    of the n_trees trees and kids tree-local. ValueError unless each node
+    of a tree is a leaf or a split with two later nodes of the tree as
+    children, each node but the root is the child of exactly one node, each
+    split feature is in features and each leaf has feature 0 and a class
+    code as label. OverflowError for an integer beyond 64 bits."""
+    if not (isinstance(doc, dict) and doc.keys() == set(NodeTable._fields)
+            and all(isinstance(a, list) and set(map(type, a))
+                    == {float if k == "threshold" else int}
+                    for k, a in doc.items())):
+        raise ValueError(f"trees must hold the arrays {NodeTable._fields}, "
+                         f"non-empty, of integers, threshold of floats")
+    root, feature, threshold, label, kids = (
+        np.array(doc[k], np.float64 if k == "threshold" else np.int64)
+        for k in NodeTable._fields)
+    n = label.size
+    size = np.diff(root, append=n)
+    if not (root.size == n_trees and root[0] == 0 and size.min() > 0
+            and feature.size == threshold.size == n and kids.size == 2 * n):
+        raise ValueError(f"expected root to start config n_trees {n_trees} "
+                         f"trees, from 0 up, and node arrays of one length, "
+                         f"kids twice it; got {root.size} trees")
+    start = np.repeat(root, size)
+    node = np.arange(n) - start  # each node's index in its tree
+    pair = kids.reshape(-1, 2)
+    leaf = np.all(pair == node[:, None], axis=1)
 
-    def check(bad, what):  # bad: the faulty nodes' indices, in order
-        if bad.size:
-            m = np.searchsorted(table.root, bad[0], side="right") - 1
+    def check(bad, what):  # bad: a flag per node
+        if bad.any():
+            m = np.searchsorted(root, np.argmax(bad), side="right") - 1
             raise ValueError(f"tree {m}: {what}")
 
-    node = np.flatnonzero(split)
-    kid = table.kids.reshape(-1, 2)[node]
-    end = np.repeat(table.root + size, size)[node, None]
-    check(node[np.any((kid <= node[:, None]) | (kid >= end), axis=1)],
+    check(~leaf & ((pair.min(axis=1) <= node)
+                   | (pair.max(axis=1) >= np.repeat(size, size))),
           "a child is not a later node of its tree")
-    check(np.flatnonzero(np.bincount(np.append(kid, table.root),
-                                     minlength=split.size) != 1),
+    check(np.bincount(np.append((pair + start[:, None])[~leaf], root),
+                      minlength=n) != 1,
           "a node is not the child of exactly one node")
-    check(np.flatnonzero(~np.isfinite(table.threshold) | np.where(
-        split, ~np.isin(table.feature, features),
-        (table.label < 0) | (table.label >= N_CLASSES))),
-        "a split feature outside the mask, a threshold not finite or a leaf "
-        "label not a class code")
-    return table
+    check(~np.isfinite(threshold) | np.where(
+        leaf, (feature != 0) | (label < 0) | (label >= N_CLASSES),
+        ~np.isin(feature, features)),
+        "a split feature outside the mask, a threshold not finite, or a leaf "
+        "feature not 0 or label not a class code")
+    return [DecisionTree(feature[a:b], threshold[a:b], label[a:b],
+                         kids[2 * a:2 * b])
+            for a, b in zip(root, root + size)]
 
 
 def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
@@ -480,12 +481,15 @@ def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
     bit-identical predictions."""
     config = asdict(forest.config)
     config.update(config.pop("tree"))
+    size = [t.node_count() for t in forest.trees]
+    trees = {k: np.concatenate(a).tolist()
+             for k, a in zip(DecisionTree._fields, zip(*forest.trees))}
     doc = {
         "format": MODEL_FORMAT,
         "mask": forest.mask.tolist(),
         "accuracy_matrix": forest.accuracy_matrix.tolist(),
         "config": config,
-        "trees": [vars(t) for t in forest.trees],
+        "trees": dict(trees, root=(np.cumsum(size) - size).tolist()),
     }
     if extra:
         doc.update(extra)
@@ -504,19 +508,14 @@ def load_forest(path) -> Forest:
     if not (fits(mask, tuple[int, ...]) and set(mask) <= {0, 1}):
         raise ValueError(f"{path}: mask must be an array of 0s and 1s")
     mask = np.array(mask, dtype=np.uint8)
-    docs = doc["trees"]
-    if not (isinstance(docs, list) and docs):
-        raise ValueError("trees must be a non-empty array")
-    if len(docs) != config["n_trees"]:
-        raise ValueError(f"config n_trees {config['n_trees']}, but "
-                         f"{len(docs)} trees")
-    table = _stack_checked(docs, np.flatnonzero(mask))
+    trees = _checked_trees(doc["trees"], config["n_trees"],
+                           np.flatnonzero(mask))
     acc = doc["accuracy_matrix"]
     if not (fits(acc, tuple[tuple[float, ...], ...]) and len(acc) == N_CLASSES
-            and all(len(row) == len(docs) and all(0 <= v <= 1 for v in row)
+            and all(len(row) == len(trees) and all(0 <= v <= 1 for v in row)
                     for row in acc)):
         raise ValueError(f"accuracy_matrix must be {N_CLASSES} rows of "
-                         f"{len(docs)} numbers in [0, 1]")
-    return Forest(trees=[DecisionTree(**t) for t in docs],
+                         f"{len(trees)} numbers in [0, 1]")
+    return Forest(trees=trees,
                   accuracy_matrix=np.array(acc, dtype=np.float64), mask=mask,
-                  config=config_from_doc(config), table=table)
+                  config=config_from_doc(config))

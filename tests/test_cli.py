@@ -7,6 +7,7 @@ import pytest
 from flowgate import cli, dataset
 from flowgate.cli import main
 from flowgate.dataset import load_dataset
+from flowgate.metrics import KDD99_COST_MATRIX
 from conftest import make_kdd_line
 from synth_kdd import write_synthetic_kdd
 
@@ -196,18 +197,39 @@ def test_train_rejects_foreign_mask_file(pipeline_run, tmp_path):
     assert rc == 3
 
 
+def _trees(doc):
+    """A model's trees, each a dict of its node arrays, kids tree-local."""
+    t = doc["trees"]
+    ends = t["root"][1:] + [len(t["label"])]
+    return [{k: t[k][2 * a:2 * b] if k == "kids" else t[k][a:b]
+             for k in ("feature", "threshold", "label", "kids")}
+            for a, b in zip(t["root"], ends)]
+
+
+def _set_trees(doc, trees):
+    """A model's trees replaced by trees as _trees gives them."""
+    doc["trees"] = {k: [v for t in trees for v in t[k]] for k in trees[0]}
+    doc["trees"]["root"] = [sum(len(t["label"]) for t in trees[:m])
+                            for m in range(len(trees))]
+
+
 def _first_leaf(tree):
-    return tree["left"].index(-1)
+    # a leaf is its own child; a split's children are later nodes
+    return next(i for i in range(len(tree["label"])) if tree["kids"][2 * i]
+                == i)
 
 
-def _set_node(key, node, value, tree_index=0):
-    """A model payload: value into array key at index node of the given
-    tree; node and value may be functions of that tree."""
+def _set_node(key, at, value, tree_index=0):
+    """A model payload: value into array key of the given tree at index at,
+    a node's index or, for kids, 2 * node for its right child and
+    2 * node + 1 for its left; at and value may be functions of the tree."""
     def payload(doc):
-        tree = doc["trees"][tree_index]
-        assert tree["left"][0] != -1, "the root must be a split"
-        at = node(tree) if callable(node) else node
-        tree[key][at] = value(tree) if callable(value) else value
+        trees = _trees(doc)
+        tree = trees[tree_index]
+        assert tree["kids"][:2] != [0, 0], "the root must be a split"
+        i = at(tree) if callable(at) else at
+        tree[key][i] = value(tree) if callable(value) else value
+        _set_trees(doc, trees)
     return payload
 
 
@@ -220,7 +242,7 @@ def _three_trees(edit, n_trees=3):
     """A model payload: the model cut to its first three trees, its config
     saying n_trees, then edit(doc)."""
     def payload(doc):
-        doc["trees"] = doc["trees"][:3]
+        _set_trees(doc, _trees(doc)[:3])
         doc["accuracy_matrix"] = [row[:3] for row in doc["accuracy_matrix"]]
         doc["config"]["n_trees"] = n_trees
         edit(doc)
@@ -229,21 +251,40 @@ def _three_trees(edit, n_trees=3):
 
 def _self_child(doc):
     # in the last tree, node 1's left child becomes node 1 and the root's
-    # left child node 2: every node keeps one parent, but one is not earlier
-    tree = doc["trees"][-1]
-    assert tree["left"][:2] == [1, 2], "nodes 0 and 1 must be splits"
-    tree["left"][:2] = [2, 1]
+    # left child node 2: every node keeps one parent, but one is not later
+    trees = _trees(doc)
+    kids = trees[-1]["kids"]
+    assert kids[1] == 1 and kids[3] == 2, "nodes 0 and 1 must be splits"
+    kids[1], kids[3] = 2, 1
+    _set_trees(doc, trees)
 
 
 def _child_in_next_tree(doc):
-    # tree 0's right child is node 1 of tree 1, which has no parent in
-    # tree 1: over the stacked nodes every node still has one parent
+    # tree 0's right child, node 3 of a two-node tree, would be node 1 of
+    # tree 1, which has no parent in tree 1: over the stacked nodes every
+    # node still has one parent
     split = doc["mask"].index(1)
-    doc["trees"][:2] = [
-        {"feature": [split, -1], "threshold": [0.5, 0.0], "left": [1, -1],
-         "right": [3, -1], "label": [-1, 0]},
-        {"feature": [-1, -1], "threshold": [0.0, 0.0], "left": [-1, -1],
-         "right": [-1, -1], "label": [0, 1]}]
+    _set_trees(doc, [
+        {"feature": [split, 0], "threshold": [0.5, 0.0], "label": [-1, 0],
+         "kids": [3, 1, 1, 1]},
+        {"feature": [0, 0], "threshold": [0.0, 0.0], "label": [0, 1],
+         "kids": [0, 0, 1, 1]}] + _trees(doc)[2:])
+
+
+def _relabel(value, code):
+    """A dataset payload: the first flow's label set to value, which numpy
+    reads as code, and the class counts made to match."""
+    def payload(doc):
+        counts = doc["class_counts"] + [0] * 5
+        counts[doc["labels"][0]] -= 1
+        counts[code] += 1
+        doc["labels"][0] = value
+        doc["class_counts"] = counts[:max(5, code + 1)]
+    return payload
+
+
+# a payload: the row's command run on a valid input, but with --seed -1
+NEGATIVE_SEED = object()
 
 
 def _csv_field(col, value):
@@ -343,12 +384,20 @@ BAD_BAT_DOCS = [
     pytest.param("model", _unmasked_split, 3, id="model-unmasked-feature"),
     pytest.param("model", lambda d: d.update(format="flowgate-model-v1"), 3,
                  id="model-v1-format"),
-    pytest.param("model", _set_node("right", 0, 0), 3,
+    pytest.param("model", lambda d: d.update(format="flowgate-model-v2"), 3,
+                 id="model-v2-format"),
+    pytest.param("model", _set_node("kids", 0, 0), 3,
                  id="model-child-backwards"),
-    pytest.param("model", _set_node("right", 0, lambda t: len(t["left"])), 3,
+    pytest.param("model", _set_node("kids", 0, lambda t: len(t["label"])), 3,
                  id="model-child-out-of-range"),
-    pytest.param("model", lambda d: d["trees"][0]["threshold"].pop(), 3,
+    pytest.param("model", _set_node("kids", 0, 1), 3,
+                 id="model-node-with-two-parents"),
+    pytest.param("model", lambda d: d["trees"]["threshold"].pop(), 3,
                  id="model-ragged-tree"),
+    pytest.param("model", lambda d: d["trees"]["root"].__setitem__(1, 0), 3,
+                 id="model-empty-tree"),
+    pytest.param("model", _set_node("feature", _first_leaf, 99), 3,
+                 id="model-leaf-feature-99"),
     pytest.param("model", _set_node("label", _first_leaf, True), 3,
                  id="model-boolean-label"),
     pytest.param("model", lambda d: d["mask"].__setitem__(0, 256), 3,
@@ -360,9 +409,12 @@ BAD_BAT_DOCS = [
     pytest.param("model", lambda d: d["mask"].__setitem__(0, True), 3,
                  id="model-boolean-mask-bit"),
     pytest.param("model", lambda d: d.update(
-        trees=[], accuracy_matrix=[[]] * 5), 3, id="model-no-trees"),
+        trees={k: [] for k in d["trees"]}, accuracy_matrix=[[]] * 5), 3,
+        id="model-no-trees"),
     pytest.param("model", lambda d: d.update(
         trees={}, accuracy_matrix=[[]] * 5), 3, id="model-trees-object"),
+    pytest.param("model", lambda d: d.update(trees=_trees(d)), 3,
+                 id="model-tree-list"),
     pytest.param("model", lambda d: d["accuracy_matrix"][0].__setitem__(
         0, "0.93"), 3, id="model-string-accuracy"),
     pytest.param("model", lambda d: d["accuracy_matrix"][0].__setitem__(
@@ -370,7 +422,8 @@ BAD_BAT_DOCS = [
     pytest.param("model", lambda d: d["accuracy_matrix"][0].__setitem__(
         0, float("nan")), 3, id="model-nan-accuracy"),
     pytest.param("model", lambda d: d.update(accuracy_matrix=[
-        [-1] * len(d["trees"])] * 5), 3, id="model-negative-accuracy"),
+        [-1] * len(d["trees"]["root"])] * 5), 3,
+        id="model-negative-accuracy"),
     pytest.param("model", _set_node("threshold", 0, float("nan")), 3,
                  id="model-nan-threshold"),
     pytest.param("model", _set_node("feature", _first_leaf, 2 ** 64), 3,
@@ -385,6 +438,20 @@ BAD_BAT_DOCS = [
                  id="model-three-trees"),
     pytest.param("model", _three_trees(lambda d: None, RF_DOC["n_trees"]), 3,
                  id="model-n-trees-mismatch"),
+    pytest.param("dataset", _relabel(5, 5), 3, id="dataset-label-5"),
+    pytest.param("dataset", _relabel(0.5, 0), 3, id="dataset-float-label"),
+    pytest.param("dataset", _relabel("2", 2), 3, id="dataset-string-label"),
+    pytest.param("dataset", _relabel(True, 1), 3, id="dataset-boolean-label"),
+    pytest.param("dataset", lambda d: d["features"][0].__setitem__(0, "7"), 3,
+                 id="dataset-string-feature"),
+    pytest.param("dataset", lambda d: d["features"][0].__setitem__(0, True),
+                 3, id="dataset-boolean-feature"),
+    pytest.param("cost", "nan", 3, id="cost-nan-entry"),
+    pytest.param("cost", "inf", 3, id="cost-inf-entry"),
+    pytest.param("csv", NEGATIVE_SEED, 2, id="ingest-negative-seed"),
+    pytest.param("bat", NEGATIVE_SEED, 2, id="select-features-negative-seed"),
+    pytest.param("rf", NEGATIVE_SEED, 2, id="train-negative-seed"),
+    pytest.param("pipeline", {"seed": -1}, 2, id="pipeline-negative-seed"),
     pytest.param("csv", lambda lines: None, 0, id="csv-well-formed"),
     pytest.param("csv", _csv_field(0, "abc"), 3, id="csv-non-numeric-field"),
     pytest.param("csv", _csv_field(4, "nan"), 3, id="csv-nan-field"),
@@ -404,6 +471,10 @@ BAD_BAT_DOCS = [
 def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
                             code):
     out, cfg = pipeline_run
+    seed = "0"
+    if payload is NEGATIVE_SEED:
+        payload, seed = {"csv": lambda lines: None, "bat": {},
+                         "rf": RF_DOC}[kind], "-1"
     rf, mask = tmp_path / "rf.json", out / "mask.json"
     rf_doc = payload if kind == "rf" else RF_DOC
     if isinstance(rf_doc, bytes):
@@ -428,7 +499,7 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
             payload(lines)
             flows.write_text("\n".join(lines) + "\n", encoding="utf-8")
         args = ["ingest", "--input", str(flows), "--targets", "0,0,0,0,0",
-                "--seed", "0", "--output", str(tmp_path / "flows.json")]
+                "--seed", seed, "--output", str(tmp_path / "flows.json")]
     elif kind == "model":
         model = tmp_path / "model.json"
         if payload is None:
@@ -446,8 +517,24 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
         bat = tmp_path / "bat.json"
         bat.write_text(json.dumps(payload))
         args = ["select-features", "--data", str(out / "train.json"),
-                "--config", str(bat), "--seed", "0",
+                "--config", str(bat), "--seed", seed,
                 "--out", str(tmp_path / "mask.json")]
+    elif kind == "dataset":
+        doc = json.loads((out / "test.json").read_text())
+        payload(doc)
+        (tmp_path / "test.json").write_text(json.dumps(doc))
+        args = ["classify", "--model", str(out / "model.json"),
+                "--data", str(tmp_path / "test.json"),
+                "--out", str(tmp_path / "preds.csv")]
+    elif kind == "cost":
+        cost = [[str(v) for v in row] for row in KDD99_COST_MATRIX.tolist()]
+        cost[0][1] = payload
+        (tmp_path / "cost.csv").write_text(
+            "".join(",".join(row) + "\n" for row in cost))
+        args = ["evaluate", "--model", str(out / "model.json"),
+                "--data", str(out / "test.json"),
+                "--cost", str(tmp_path / "cost.csv"),
+                "--out", str(tmp_path / "report.json")]
     elif kind == "report":
         doc = json.loads((out / "report.json").read_text())
         (tmp_path / "run").mkdir()
@@ -462,12 +549,15 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
         args = ["pipeline", "--config", str(tmp_path / "pipeline.json")]
     else:
         args = ["train", "--data", str(out / "train.json"),
-                "--mask", str(mask), "--config", str(rf), "--seed", "0",
+                "--mask", str(mask), "--config", str(rf), "--seed", seed,
                 "--out", str(tmp_path / "model.json")]
     assert main(args) == code
     if code:
         err = capsys.readouterr().err
         assert err.startswith("flowgate: ") and err.count("\n") == 1, err
+    if kind.startswith("pipeline") and code == 2:
+        # a config error stops the pipeline before it makes output_dir
+        assert not (tmp_path / "run").exists()
 
 
 def test_classify_writes_named_classes(pipeline_run, tmp_path):

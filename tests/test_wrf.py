@@ -81,8 +81,10 @@ class TestTrainTree:
                           np.random.default_rng(0))
         assert tree.node_count() == 3
         assert tree.threshold[0] == pytest.approx(0.7)
-        assert (tree.left, tree.right, tree.label) == (
-            [1, -1, -1], [2, -1, -1], [-1, 0, 1])
+        # leaves 1 and 2 are their own children
+        assert (tree.feature.tolist(), tree.label.tolist(),
+                tree.kids.tolist()) == ([0, 0, 0], [-1, 0, 1],
+                                        [2, 1, 1, 1, 2, 2])
         assert np.all(tree.predict(X) == y)
 
     def test_deterministic(self):
@@ -91,7 +93,7 @@ class TestTrainTree:
                        np.random.default_rng(5))
         b = train_tree(ds.X, ds.y, np.arange(10), TreeConfig(),
                        np.random.default_rng(5))
-        assert a == b
+        assert same_tree(a, b)
 
     def test_perfect_fit_on_consistent_data(self):
         rng = np.random.default_rng(9)
@@ -106,10 +108,10 @@ class TestTrainTree:
     def test_unreachable_branch_is_not_visited(self):
         # the right subtree splits on a column X lacks and holds an
         # out-of-range label, but no row reaches it
-        tree = DecisionTree(feature=[0, -1, 99, -1, -1],
-                            threshold=[0.5, 0.0, 1.0, 0.0, 0.0],
-                            left=[1, -1, 3, -1, -1], right=[2, -1, 4, -1, -1],
-                            label=[-1, 2, -1, 7, 7])
+        tree = DecisionTree(feature=np.array([0, 0, 99, 0, 0]),
+                            threshold=np.array([0.5, 0.0, 1.0, 0.0, 0.0]),
+                            label=np.array([-1, 2, -1, 7, 7]),
+                            kids=np.array([2, 1, 1, 1, 4, 3, 3, 3, 4, 4]))
         assert np.all(tree.predict(np.zeros((3, 1))) == 2)
 
     def test_leaf_tie_goes_to_lowest_code(self):
@@ -117,7 +119,7 @@ class TestTrainTree:
         y = np.array([1, 1, 3, 3])
         tree = train_tree(X, y, np.arange(2), TreeConfig(),
                           np.random.default_rng(0))
-        assert tree.label == [1]
+        assert tree.label.tolist() == [1]
 
     def test_leaves_no_reference_cycle(self):
         ds = synthetic_dataset([20] * 5, seed=3, n_features=10)
@@ -145,7 +147,7 @@ class TestTrainTree:
         cfg = TreeConfig(max_depth=10**6, min_samples_leaf=1)
         tree = train_tree(X, y, np.array([0]), cfg, np.random.default_rng(0))
         assert np.array_equal(tree.predict(X), y)
-        assert tree.node_count() == len(tree.left) == 2999
+        assert tree.node_count() == len(tree.kids) // 2 == 2999
         # fit needs every class and grows on a bootstrap: five copies of
         # each row keep nearly every value in it, so its tree is a chain too
         ds = EncodedDataset(X=np.repeat(np.arange(1503.0), 5)[:, None],
@@ -220,24 +222,35 @@ def reference_tree(X, y, feature_ids, cfg, rng):
 
 
 def flatten(node):
-    """reference_tree's nested dicts as train_tree's five pre-order lists."""
-    tree = DecisionTree([], [], [], [], [])
+    """reference_tree's nested dicts as train_tree's pre-order node arrays:
+    a leaf is its own right and left child at kids[2i] and kids[2i + 1]."""
+    feature, threshold, label, kids = [], [], [], []
 
     def visit(node):
-        i = len(tree.left)
+        i = len(label)
         leaf = "label" in node
-        tree.feature.append(-1 if leaf else node["feature"])
-        tree.threshold.append(0.0 if leaf else node["threshold"])
-        tree.left.append(-1 if leaf else i + 1)
-        tree.right.append(-1)
-        tree.label.append(node["label"] if leaf else -1)
+        feature.append(0 if leaf else node["feature"])
+        threshold.append(0.0 if leaf else node["threshold"])
+        label.append(node["label"] if leaf else -1)
+        kids.extend([i, i])
         if not leaf:
+            kids[2 * i + 1] = i + 1
             visit(node["left"])
-            tree.right[i] = len(tree.left)
+            kids[2 * i] = len(label)
             visit(node["right"])
 
     visit(node)
-    return tree
+    return DecisionTree(*map(np.array, (feature, threshold, label, kids)))
+
+
+def same_tree(a, b):
+    """Whether two trees hold equal node arrays of equal dtypes."""
+    return all(x.dtype == y.dtype and np.array_equal(x, y)
+               for x, y in zip(a, b, strict=True))
+
+
+def same_trees(a, b):
+    return len(a) == len(b) and all(map(same_tree, a, b))
 
 
 def oracle_cases():
@@ -289,7 +302,7 @@ def test_train_tree_matches_per_node_reference(min_leaf, max_depth,
     for i, (X, y) in enumerate(oracle_cases()):
         expected = reference_tree(X, y, ids, cfg, np.random.default_rng(i))
         got = train_tree(X, y, ids, cfg, np.random.default_rng(i))
-        assert got == flatten(expected), f"case {i}"
+        assert same_tree(got, flatten(expected)), f"case {i}"
     # counted distinct rows grow the tree of the repeated rows, and
     # all-ones counts the uncounted tree
     for i, (X, y, count) in enumerate(counted_cases()):
@@ -297,10 +310,11 @@ def test_train_tree_matches_per_node_reference(min_leaf, max_depth,
                                   np.repeat(y, count), ids, cfg,
                                   np.random.default_rng(i))
         got = train_tree(X, y, ids, cfg, np.random.default_rng(i), count)
-        assert got == flatten(expected), f"counted case {i}"
+        assert same_tree(got, flatten(expected)), f"counted case {i}"
         ones = train_tree(X, y, ids, cfg, np.random.default_rng(i),
                           np.ones(y.size, dtype=np.int64))
-        assert ones == train_tree(X, y, ids, cfg, np.random.default_rng(i))
+        assert same_tree(ones, train_tree(X, y, ids, cfg,
+                                          np.random.default_rng(i)))
 
 
 @pytest.mark.parametrize("count", [[1, 0, 2], [1, -1, 2], [1, 2],
@@ -485,7 +499,8 @@ class TestPerClassAccuracy:
 
 
 def leaf_tree(label):
-    return DecisionTree([-1], [0.0], [-1], [-1], [label])
+    return DecisionTree(np.array([0]), np.array([0.0]), np.array([label]),
+                        np.array([0, 0]))
 
 
 def constant_forest(labels_per_tree, matrix):
@@ -532,12 +547,13 @@ def partition_predict(tree, X):
     stack = [(0, np.arange(X.shape[0]))]
     while stack:
         i, idx = stack.pop()
-        if idx.size and tree.left[i] == -1:
+        right, left = tree.kids[2 * i], tree.kids[2 * i + 1]
+        if idx.size and right == left == i:
             out[idx] = tree.label[i]
         elif idx.size:
             go_left = X[idx, tree.feature[i]] <= tree.threshold[i]
-            stack.append((tree.right[i], idx[~go_left]))
-            stack.append((tree.left[i], idx[go_left]))
+            stack.append((right, idx[~go_left]))
+            stack.append((left, idx[go_left]))
     return out
 
 
@@ -632,7 +648,7 @@ class TestFitAndPredict:
         a = fit(ds, mask, ForestConfig(n_trees=5), seed=3)
         b = fit(ds, mask, ForestConfig(n_trees=5), seed=3)
         assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix)
-        assert a.trees == b.trees
+        assert same_trees(a.trees, b.trees)
 
     def test_mask_restricts_splits(self):
         ds = synthetic_dataset([20] * 5, seed=5, n_features=10)
@@ -640,8 +656,8 @@ class TestFitAndPredict:
         forest = fit(ds, mask, ForestConfig(n_trees=3), seed=0)
         allowed = set(np.flatnonzero(mask))
         for tree in forest.trees:
-            assert {f for f, kid in zip(tree.feature, tree.left)
-                    if kid != -1} <= allowed
+            split = tree.kids[::2] != np.arange(tree.node_count())
+            assert set(tree.feature[split].tolist()) <= allowed
 
     def test_weight_history_invariants(self):
         ds = synthetic_dataset([30, 10, 40, 5, 15], seed=6, n_features=6)
@@ -685,7 +701,7 @@ class TestFitAndPredict:
                 weights = update_weights(weights, preds, ds.y, a_m)
             trees.append(tree)
             acc_rows.append(acc_row)
-        assert forest.trees == trees
+        assert same_trees(forest.trees, trees)
         assert np.array_equal(forest.accuracy_matrix,
                               np.stack(acc_rows, axis=1))
 
@@ -758,13 +774,13 @@ class TestPersistence:
         path2 = tmp_path / "model2.json"
         save_forest(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
-        # nested-dict model files are not read
+        # nested-dict (v1) and per-tree list (v2) model files are not read
         doc = json.loads(path.read_text())
-        doc["format"] = "flowgate-model-v1"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="flowgate-model-v1.*"
-                           "flowgate-model-v2"):
-            load_forest(path)
+        for old in ("flowgate-model-v1", "flowgate-model-v2"):
+            doc["format"] = old
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"{old}.*flowgate-model-v3"):
+                load_forest(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
