@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import wrf
 from .balanced_kmeans import cluster
 
 
@@ -25,18 +26,6 @@ class BatConfig:
     n_bats: int = 40          # N
     n_subgroups: int = 4      # K
     n_iterations: int = 100   # N_t
-    w_max: float = 0.9
-    w_min: float = 0.4
-    c_max: float = 1.5
-    c_min: float = 0.5
-    f_shrink_max: float = 1.0  # F_max
-    f_shrink_min: float = 0.2  # F_min
-    freq_min: float = 0.0
-    freq_max: float = 1.0
-    alpha: float = 0.9         # loudness decay on acceptance
-    gamma: float = 0.9         # pulse-rate growth rate
-    loudness_init: float = 1.0
-    pulse_rate_init: float = 0.5  # r0; effective rate starts at 0 and grows
     penalty: float = 0.01      # lambda, per-feature-fraction fitness penalty
     seed: int = 0
     # degeneration switches; all True gives the improved algorithm, while
@@ -46,12 +35,6 @@ class BatConfig:
     use_self_learning: bool = True
 
     def validate(self):
-        if not (self.w_max >= self.w_min > 0):
-            raise ValueError("require W_max >= W_min > 0")
-        if not (self.c_max >= self.c_min >= 0):
-            raise ValueError("require C_max >= C_min >= 0")
-        if not (1 >= self.f_shrink_max >= self.f_shrink_min >= 0):
-            raise ValueError("require 1 >= F_max >= F_min >= 0")
         if self.n_iterations < 2:
             raise ValueError("require N_t >= 2")
         if self.n_subgroups < 1:
@@ -67,7 +50,6 @@ class Bat:
     frequency: float       # f_i
     loudness: float        # A_i
     pulse_rate: float      # current r_i
-    pulse_rate_init: float  # r_i0
     fitness: float
     best_position: np.ndarray  # P_i
     best_fitness: float
@@ -80,15 +62,21 @@ class BatResult:
     trace: list  # best-so-far fitness, entry 0 is the initial population best
 
 
+W_MAX, W_MIN = 0.9, 0.4
+
+
 def inertia_weight(t: int, cfg: BatConfig) -> float:
-    """Linearly decreasing inertia weight W^t."""
-    return cfg.w_max - (cfg.w_max - cfg.w_min) * t / cfg.n_iterations
+    """Linearly decreasing inertia weight W^t, from W_max down to W_min."""
+    return W_MAX - (W_MAX - W_MIN) * t / cfg.n_iterations
+
+
+C_MAX, C_MIN = 1.5, 0.5
 
 
 def self_learning_factor(t: int, cfg: BatConfig) -> float:
     """Arccos-scheduled self-learning factor C^t, from C_max down to C_min."""
     arg = min(1.0, max(-1.0, -2.0 * t / cfg.n_iterations + 1.0))
-    return cfg.c_min + (cfg.c_max - cfg.c_min) * (1.0 - math.acos(arg) / math.pi)
+    return C_MIN + (C_MAX - C_MIN) * (1.0 - math.acos(arg) / math.pi)
 
 
 def mutation_probability(t: int, cfg: BatConfig) -> float:
@@ -96,10 +84,12 @@ def mutation_probability(t: int, cfg: BatConfig) -> float:
     return math.sqrt(t / (cfg.n_iterations - 1))
 
 
+F_MAX, F_MIN = 1.0, 0.2
+
+
 def shrinkage_factor(t: int, cfg: BatConfig) -> float:
-    """Linearly decreasing shrinkage factor F^t."""
-    return cfg.f_shrink_min + (cfg.f_shrink_max - cfg.f_shrink_min) * (
-        cfg.n_iterations - t) / cfg.n_iterations
+    """Linearly decreasing shrinkage factor F^t, from F_max down to F_min."""
+    return F_MIN + (F_MAX - F_MIN) * (cfg.n_iterations - t) / cfg.n_iterations
 
 
 def gated_term(coeff: float, bits: np.ndarray, rng) -> np.ndarray:
@@ -173,26 +163,27 @@ def local_search(best: np.ndarray, mean_loudness: float, rng) -> np.ndarray:
     return repair_mask(best ^ flips, rng)
 
 
+# Yang's bat algorithm: loudness starts at A_0 and decays by alpha, the
+# pulse rate grows towards r_0 at rate gamma
+A_0, R_0, ALPHA, GAMMA = 1.0, 0.5, 0.9, 0.9
+
+
 def acceptance_step(bat: Bat, candidate: np.ndarray, candidate_fitness: float,
-                    t: int, cfg: BatConfig, rng) -> None:
+                    t: int, rng) -> None:
     """Loudness-gated adoption of a strictly better candidate.
 
     On acceptance the loudness decays by alpha and the pulse rate follows
-    the classical schedule r0 * (1 - exp(-gamma t)). The personal best is
+    the classical schedule r_0 * (1 - exp(-gamma t)). The personal best is
     refreshed whenever the candidate improves on it, adopted or not.
     """
     if rng.random() < bat.loudness and candidate_fitness > bat.fitness:
         bat.position = candidate.copy()
         bat.fitness = candidate_fitness
-        bat.loudness *= cfg.alpha
-        bat.pulse_rate = bat.pulse_rate_init * (1.0 - math.exp(-cfg.gamma * t))
+        bat.loudness *= ALPHA
+        bat.pulse_rate = R_0 * (1.0 - math.exp(-GAMMA * t))
     if candidate_fitness > bat.best_fitness:
         bat.best_position = candidate.copy()
         bat.best_fitness = candidate_fitness
-
-
-def _derived_seed(*parts) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 def cpu_map(fn, items) -> list:
@@ -271,14 +262,13 @@ def run(fitness_fn, d: int, cfg: BatConfig, map_fn=map) -> BatResult:
             memo[key] = value
         return [memo[k] for k in keys]
 
-    init_rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
+    init_rng = np.random.default_rng(wrf.derived_seed(cfg.seed, 0))
     start = [random_mask(d, init_rng) for _ in range(cfg.n_bats)]
     bats = [Bat(position=pos,
                 velocity=np.zeros(d, dtype=np.uint8),
-                frequency=cfg.freq_min,
-                loudness=cfg.loudness_init,
+                frequency=0.0,
+                loudness=A_0,
                 pulse_rate=0.0,
-                pulse_rate_init=cfg.pulse_rate_init,
                 fitness=fit,
                 best_position=pos.copy(),
                 best_fitness=fit)
@@ -296,7 +286,7 @@ def run(fitness_fn, d: int, cfg: BatConfig, map_fn=map) -> BatResult:
         p_t = mutation_probability(t - 1, cfg) if cfg.use_mutation else 0.0
         positions = np.stack([b.position for b in bats])
         division = cluster(positions, cfg.n_subgroups,
-                           _derived_seed(cfg.seed, 1, t))
+                           wrf.derived_seed(cfg.seed, 1, t))
         # subgroup bests by current fitness, ties to the lowest index
         local_best = {}
         for n in range(cfg.n_subgroups):
@@ -308,14 +298,13 @@ def run(fitness_fn, d: int, cfg: BatConfig, map_fn=map) -> BatResult:
 
         rngs, candidates = [], []
         for i, bat in enumerate(bats):
-            rng = np.random.default_rng(_derived_seed(cfg.seed, 2, t, i))
+            rng = np.random.default_rng(wrf.derived_seed(cfg.seed, 2, t, i))
             subgroup = int(division.assignments[i])
             # anchors come from the iteration-start snapshot, so a bat's
             # candidate depends on no other bat's step in this iteration
             anchor = anchor_g if i == local_best[subgroup] \
                 else positions[local_best[subgroup]]
-            bat.frequency = cfg.freq_min + \
-                (cfg.freq_max - cfg.freq_min) * rng.random()
+            bat.frequency = rng.random()  # f_i ~ U(f_min, f_max) = U(0, 1)
             bat.velocity = update_velocity(bat, anchor, t, cfg, rng)
             candidate = update_position(bat.position, bat.velocity, rng)
             if rng.random() > bat.pulse_rate:
@@ -325,7 +314,7 @@ def run(fitness_fn, d: int, cfg: BatConfig, map_fn=map) -> BatResult:
 
         for i, (bat, candidate, cand_fit, rng) in enumerate(zip(
                 bats, candidates, evaluate(candidates, t), rngs)):
-            acceptance_step(bat, candidate, cand_fit, t, cfg, rng)
+            acceptance_step(bat, candidate, cand_fit, t, rng)
             if cfg.use_mutation and rng.random() < p_t:
                 subgroup = int(division.assignments[i])
                 mutated = differential_mutation(
@@ -346,20 +335,14 @@ def wrapper_fitness(mask: np.ndarray, train, valid, eval_seed: int,
     """Probe-classifier fitness: validation accuracy of a depth-capped CART
     grown on the distinct rows under the mask, minus penalty * popcount / d.
     Counts are passed only when a row repeats: the uncounted scan is faster."""
-    from .wrf import TreeConfig, distinct_rows, train_tree
-
-    mask = np.asarray(mask, dtype=np.uint8)
-    if not mask.any():
-        raise ValueError("empty feature mask")
-    if mask.size != train.n_features:
-        raise ValueError("mask width does not match dataset feature count")
+    mask = wrf.checked_mask(mask, train.n_features)
     cols = np.flatnonzero(mask)
     X = train.X[:, cols]
-    first, group = distinct_rows(X, train.y)
+    first, group = wrf.distinct_rows(X, train.y)
     count = np.bincount(group)
-    tree = train_tree(X[first], train.y[first], cols,
-                      TreeConfig(max_depth=10, max_features=None),
-                      np.random.default_rng(eval_seed),
-                      count if count.size < group.size else None)
+    tree = wrf.train_tree(X[first], train.y[first], cols,
+                          wrf.TreeConfig(max_depth=10, max_features=None),
+                          np.random.default_rng(eval_seed),
+                          count if count.size < group.size else None)
     acc = float(np.mean(tree.predict(valid.X) == valid.y))
     return acc - penalty * mask.sum() / mask.size

@@ -79,6 +79,8 @@ def bat_config_from_doc(doc, seed) -> tuple:
     try:
         doc = check_doc(doc, types)
         probe = [doc.pop(k, v) for k, v in PROBE_SIZES.items()]
+        if min(probe) < 1:
+            raise ValueError(f"require probe sizes >= 1, got {probe}")
         cfg = BatConfig(seed=seed, **doc)
         cfg.validate()
     except ValueError as exc:
@@ -272,11 +274,10 @@ def cmd_train(data_path, mask_path, config_doc, seed, out_path):
                        config_doc, seed, out_path)
 
 
-def cmd_evaluate(model_path, data_path, cost_path, out_path,
-                 config_hash=None):
+def cmd_evaluate(model_path, data_path, cost_path, out_path):
     forest = _load_checked(load_forest, model_path, "model")
     return evaluate_model(forest, _load_data(data_path), data_path,
-                          cost_path, out_path, config_hash)
+                          cost_path, out_path)
 
 
 # --------------------------------------------------------------- pipeline

@@ -368,6 +368,22 @@ def predict_batch(forest: Forest, X) -> np.ndarray:
     return out
 
 
+def derived_seed(*parts) -> int:
+    """A 32-bit seed drawn from the integers parts by numpy's SeedSequence."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def checked_mask(mask, n_features) -> np.ndarray:
+    """mask as uint8 bits; ValueError if it selects no feature or is not
+    n_features wide."""
+    mask = np.asarray(mask, dtype=np.uint8)
+    if not mask.any():
+        raise ValueError("empty feature mask")
+    if mask.size != n_features:
+        raise ValueError("mask width does not match dataset feature count")
+    return mask
+
+
 def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
         record_weights: bool = False) -> Forest:
     """Train the weighted forest.
@@ -380,11 +396,7 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     deterministic.
     """
     cfg.validate()
-    mask = np.asarray(mask, dtype=np.uint8)
-    if not mask.any():
-        raise ValueError("empty feature mask")
-    if mask.size != ds.n_features:
-        raise ValueError("mask width does not match dataset feature count")
+    mask = checked_mask(mask, ds.n_features)
     cols = np.flatnonzero(mask)
     # each tree grows on the distinct rows drawn, with their counts
     first, group = distinct_rows(ds.X[:, cols], ds.y)
@@ -394,8 +406,7 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     trees = []
     acc_rows = []
     for m in range(cfg.n_trees):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, m]).generate_state(1)[0])
+        rng = np.random.default_rng(derived_seed(seed, m))
         try:
             idx = roulette_sample(weights, ds.n_samples, rng)
             count = np.bincount(group[idx], minlength=first.size)

@@ -9,15 +9,14 @@ import pytest
 
 from flowgate import wrf
 from flowgate.balanced_kmeans import cluster
-from flowgate.bat import (Bat, BatConfig, _derived_seed, acceptance_step,
-                          cpu_map, differential_mutation, gated_term,
-                          inertia_weight, local_search, mutation_probability,
-                          random_mask, run, self_learning_factor,
-                          shrinkage_factor, update_position, update_velocity,
-                          wrapper_fitness)
+from flowgate.bat import (A_0, Bat, BatConfig, acceptance_step, cpu_map,
+                          differential_mutation, gated_term, inertia_weight,
+                          local_search, mutation_probability, random_mask,
+                          run, self_learning_factor, shrinkage_factor,
+                          update_position, update_velocity, wrapper_fitness)
 
 from flowgate.dataset import EncodedDataset
-from flowgate.wrf import TreeConfig, train_tree
+from flowgate.wrf import TreeConfig, derived_seed, train_tree
 
 from conftest import synthetic_dataset
 
@@ -53,14 +52,14 @@ def make_bat(position, velocity=None, frequency=0.5, loudness=1.0,
                velocity=bits(velocity) if velocity else
                np.zeros_like(position),
                frequency=frequency, loudness=loudness,
-               pulse_rate=pulse_rate, pulse_rate_init=0.5,
+               pulse_rate=pulse_rate,
                fitness=fitness, best_position=position.copy(),
                best_fitness=fitness)
 
 
 class TestControlFactors:
-    CFG = BatConfig(w_max=0.9, w_min=0.4, c_max=1.5, c_min=0.5,
-                    f_shrink_max=1.0, f_shrink_min=0.0, n_iterations=100)
+    """The paper's schedules: W 0.9 -> 0.4, C 1.5 -> 0.5, F 1.0 -> 0.2."""
+    CFG = BatConfig(n_iterations=100)
 
     def test_inertia_endpoints(self):
         assert inertia_weight(0, self.CFG) == pytest.approx(0.9)
@@ -83,18 +82,17 @@ class TestControlFactors:
         assert mutation_probability(25, cfg) == pytest.approx(0.5)
 
     def test_shrinkage(self):
-        cfg = BatConfig(f_shrink_max=1.0, f_shrink_min=0.0, n_iterations=4)
+        cfg = BatConfig(n_iterations=4)
         assert shrinkage_factor(0, cfg) == pytest.approx(1.0)
-        assert shrinkage_factor(4, cfg) == pytest.approx(0.0)
-        assert shrinkage_factor(1, cfg) == pytest.approx(0.75)
+        assert shrinkage_factor(4, cfg) == pytest.approx(0.2)
+        assert shrinkage_factor(1, cfg) == pytest.approx(0.8)
 
     def test_factors_stay_in_bounds(self):
         cfg = BatConfig(n_iterations=37)
         for t in range(cfg.n_iterations + 1):
-            assert cfg.w_min <= inertia_weight(t, cfg) <= cfg.w_max
-            assert cfg.c_min <= self_learning_factor(t, cfg) <= cfg.c_max
-            assert cfg.f_shrink_min <= shrinkage_factor(t, cfg) \
-                <= cfg.f_shrink_max
+            assert 0.4 <= inertia_weight(t, cfg) <= 0.9
+            assert 0.5 <= self_learning_factor(t, cfg) <= 1.5
+            assert 0.2 <= shrinkage_factor(t, cfg) <= 1.0
             if t < cfg.n_iterations:
                 assert 0.0 <= mutation_probability(t, cfg) <= 1.0
 
@@ -158,7 +156,7 @@ class TestVelocityAndPosition:
 
 
 class TestDifferentialMutation:
-    CFG = BatConfig(n_iterations=10, f_shrink_max=1.0, f_shrink_min=0.0)
+    CFG = BatConfig(n_iterations=10)
 
     def test_base_term_only(self):
         positions = np.stack([bits("0110"), bits("1001"), bits("0011"),
@@ -217,19 +215,20 @@ class TestLocalSearch:
 
 
 class TestAcceptance:
-    CFG = BatConfig(alpha=0.9, gamma=0.9, n_iterations=10)
+    """Yang's constants: loudness decays by alpha 0.9, the pulse rate grows
+    to r_0 0.5 at gamma 0.9."""
 
     def test_rejection_keeps_state(self):
         bat = make_bat("1010", fitness=0.8)
         rng = np.random.default_rng(0)
-        acceptance_step(bat, bits("0101"), 0.5, 3, self.CFG, rng)
+        acceptance_step(bat, bits("0101"), 0.5, 3, rng)
         assert np.array_equal(bat.position, bits("1010"))
         assert bat.loudness == 1.0 and bat.pulse_rate == 0.0
 
     def test_loudness_decay(self):
         bat = make_bat("1010", fitness=0.2)
         rng = ScriptedRng([0.0])
-        acceptance_step(bat, bits("0101"), 0.9, 3, self.CFG, rng)
+        acceptance_step(bat, bits("0101"), 0.9, 3, rng)
         assert bat.loudness == pytest.approx(0.9)
         assert np.array_equal(bat.position, bits("0101"))
         assert bat.pulse_rate == pytest.approx(
@@ -240,7 +239,7 @@ class TestAcceptance:
         rng = np.random.default_rng(0)
         history = []
         for step, fit in enumerate([0.3, 0.1, 0.5, 0.4]):
-            acceptance_step(bat, bits("0101"), fit, step + 1, self.CFG, rng)
+            acceptance_step(bat, bits("0101"), fit, step + 1, rng)
             history.append(bat.best_fitness)
         assert history == sorted(history)
         assert bat.best_fitness == 0.5
@@ -293,6 +292,31 @@ class TestRun:
         cfg = BatConfig(n_bats=20, n_subgroups=4, n_iterations=30, seed=2)
         res = run(fitness, 8, cfg)
         assert res.fitness == pytest.approx(best, rel=0.01)
+
+    @pytest.mark.parametrize("seed, trace, mask, scored", [
+        (5, [12, 18, 18, 23, 23, 23, 23, 23, 23, 23, 25, 27, 27, 27, 29, 30,
+             30, 30, 30, 30, 30], "1110100111010011", 144),
+        (7, [16, 20, 27, 27, 27, 27, 27, 27, 27, 27, 28, 28, 28, 28, 28, 28,
+             29, 29, 29, 29, 29], "0101001001001111", 130),
+    ])
+    def test_golden_run(self, seed, trace, mask, scored):
+        """A recorded run on a fixed integer landscape: a mistyped schedule
+        or bat constant moves the trace, the mask or the masks scored,
+        which a reference loop sharing those constants cannot see."""
+        calls = []
+
+        def fitness(candidate):
+            calls.append(candidate)
+            sel = np.flatnonzero(candidate).tolist()
+            return float(sum((7 * i) % 11 - 5 for i in sel)
+                         + sum((3 * a + 5 * b) % 7 - 3
+                               for a, b in itertools.combinations(sel, 2)))
+
+        res = run(fitness, 16, BatConfig(n_bats=12, n_subgroups=3,
+                                         n_iterations=20, seed=seed))
+        assert res.trace == trace and res.fitness == trace[-1]
+        assert "".join(map(str, res.mask)) == mask
+        assert len(calls) == scored
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -458,13 +482,12 @@ def interleaved_run(fitness_fn, d, cfg):
             memo[key] = float(fitness_fn(mask))
         return memo[key]
 
-    init_rng = np.random.default_rng(_derived_seed(cfg.seed, 0))
+    init_rng = np.random.default_rng(derived_seed(cfg.seed, 0))
     bats = []
     for _ in range(cfg.n_bats):
         pos = random_mask(d, init_rng)
         fit = evaluate(pos)
-        bats.append(Bat(pos, np.zeros(d, dtype=np.uint8), cfg.freq_min,
-                        cfg.loudness_init, 0.0, cfg.pulse_rate_init, fit,
+        bats.append(Bat(pos, np.zeros(d, dtype=np.uint8), 0.0, A_0, 0.0, fit,
                         pos.copy(), fit))
 
     def global_best():
@@ -478,7 +501,7 @@ def interleaved_run(fitness_fn, d, cfg):
         p_t = mutation_probability(t - 1, cfg) if cfg.use_mutation else 0.0
         positions = np.stack([b.position for b in bats])
         division = cluster(positions, cfg.n_subgroups,
-                           _derived_seed(cfg.seed, 1, t))
+                           derived_seed(cfg.seed, 1, t))
         leader = {}
         for n in range(cfg.n_subgroups):
             members = division.members(n)
@@ -487,17 +510,16 @@ def interleaved_run(fitness_fn, d, cfg):
         mean_loudness = float(np.mean([b.loudness for b in bats]))
         anchor_g = g_pos.copy()
         for i, bat in enumerate(bats):
-            rng = np.random.default_rng(_derived_seed(cfg.seed, 2, t, i))
+            rng = np.random.default_rng(derived_seed(cfg.seed, 2, t, i))
             group = int(division.assignments[i])
             anchor = anchor_g if i == leader[group] \
                 else positions[leader[group]]
-            bat.frequency = cfg.freq_min + \
-                (cfg.freq_max - cfg.freq_min) * rng.random()
+            bat.frequency = rng.random()
             bat.velocity = update_velocity(bat, anchor, t, cfg, rng)
             candidate = update_position(bat.position, bat.velocity, rng)
             if rng.random() > bat.pulse_rate:
                 candidate = local_search(anchor_g, mean_loudness, rng)
-            acceptance_step(bat, candidate, evaluate(candidate), t, cfg, rng)
+            acceptance_step(bat, candidate, evaluate(candidate), t, rng)
             if cfg.use_mutation and rng.random() < p_t:
                 mutated = differential_mutation(
                     i, positions, division.members(group),

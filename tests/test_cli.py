@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,16 @@ BAD_BAT_DOCS = [
     ("string-probe-size", {"probe_train_size": "x"}),
     ("string-penalty", {"penalty": "x"}),
     ("string-switch", {"use_mutation": "no"}),
+    ("probe-train-size-negative", {"probe_train_size": -5}),
+    ("probe-valid-size-zero", {"probe_valid_size": 0}),
+    # the paper's schedule and loudness constants are no config keys
+    *[(f"removed-{key.replace('_', '-')}", {key: value})
+      for key, value in [("w_max", 0.9), ("w_min", 0.4),
+                         ("c_max", 1.5), ("c_min", 0.5),
+                         ("f_shrink_max", 1.0), ("f_shrink_min", 0.2),
+                         ("freq_min", 0.0), ("freq_max", 50),
+                         ("alpha", -3), ("gamma", -1000),
+                         ("loudness_init", -1), ("pulse_rate_init", 7)]],
 ]
 
 
@@ -770,6 +781,18 @@ def test_pipeline_missing_key_is_config_error(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"seed": 0}))
     assert main(["pipeline", "--config", str(cfg_path)]) == 2
+
+
+def test_readme_pipeline_example_passes_the_checker():
+    """The README's pipeline config passes the checks cmd_pipeline makes of
+    its keys and its bat and rf blocks; its CSV paths are not read."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (block,) = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    doc = dataset.check_doc(json.loads(block), cli.PIPELINE_TYPES,
+                            required=list(cli.PIPELINE_TYPES)[:6])
+    cli.bat_config_from_doc(doc["bat"], doc["seed"])
+    cli.rf_config_from_doc(doc["rf"])
 
 
 def test_pipeline_records_failed_stage(corpus, tmp_path):
