@@ -26,7 +26,7 @@ from .dataset import (EncodedDataset, FlowClass, N_CLASSES, check_doc,
                       parse_kdd_csv, save_dataset, stratified_downsample,
                       write_json, write_text)
 from .metrics import KDD99_COST_MATRIX, evaluate as evaluate_metrics
-from .wrf import (CONFIG_TYPES, ForestConfig, config_from_doc, fit,
+from .wrf import (ForestConfig, TreeConfig, config_from_doc, fit,
                   load_forest, predict_batch, save_forest)
 
 MASK_FORMAT = "flowgate-mask-v1"
@@ -62,8 +62,12 @@ def _load_json(path, what, error=ConfigError):
 # ---------------------------------------------------------------- configs
 
 PROBE_SIZES = {"probe_train_size": 8000, "probe_valid_size": 8000}
-# keys that select the weighted schedule; "baseline": true switches it off
-WEIGHTING_KEYS = {"class_weights", "use_weight_updates", "use_weighted_vote"}
+# the bat document: the fields of BatConfig but seed, and the probe sizes
+BAT_TYPES = {k: t for k, t in field_types(BatConfig).items() if k != "seed"}
+BAT_TYPES.update(dict.fromkeys(PROBE_SIZES, int))
+# the rf document: the TreeConfig fields, n_trees, and "baseline": true for
+# the classical RF
+RF_TYPES = dict(field_types(TreeConfig), n_trees=int, baseline=bool)
 # the pipeline document; its first six keys are required
 PIPELINE_TYPES = {"train_input": str, "test_input": str, "seed": int,
                   "train_targets": tuple[int, ...], "output_dir": str,
@@ -72,12 +76,9 @@ PIPELINE_TYPES = {"train_input": str, "test_input": str, "seed": int,
 
 
 def bat_config_from_doc(doc, seed) -> tuple:
-    """Bat config and probe sizes from a bat document: the fields of
-    BatConfig but seed, and the two probe sizes."""
-    types = dict(field_types(BatConfig), **dict.fromkeys(PROBE_SIZES, int))
-    del types["seed"]
+    """Bat config and probe sizes from a bat document (BAT_TYPES)."""
     try:
-        doc = check_doc(doc, types)
+        doc = check_doc(doc, BAT_TYPES)
         probe = [doc.pop(k, v) for k, v in PROBE_SIZES.items()]
         if min(probe) < 1:
             raise ValueError(f"require probe sizes >= 1, got {probe}")
@@ -89,20 +90,11 @@ def bat_config_from_doc(doc, seed) -> tuple:
 
 
 def rf_config_from_doc(doc) -> ForestConfig:
-    """Forest config from an rf document: CONFIG_TYPES, "baseline": true for
-    the classical RF, and "class_weights": "default" for the stated priors."""
-    types = dict(CONFIG_TYPES, baseline=bool,
-                 class_weights=CONFIG_TYPES["class_weights"] | str)
+    """Forest config from an rf document (RF_TYPES)."""
     try:
-        doc = check_doc(doc, types)
-        baseline = doc.pop("baseline", False)
-        if baseline and doc.keys() & WEIGHTING_KEYS:
-            raise ValueError(f"baseline cannot be combined with "
-                             f"{sorted(doc.keys() & WEIGHTING_KEYS)}")
-        if doc.get("class_weights") == "default":
-            del doc["class_weights"]
-        return config_from_doc(
-            doc, ForestConfig.baseline if baseline else ForestConfig)
+        doc = check_doc(doc, RF_TYPES)
+        doc["weighted"] = not doc.pop("baseline", False)
+        return config_from_doc(doc)
     except ValueError as exc:
         raise ConfigError(f"invalid rf config: {exc}") from exc
 
@@ -169,6 +161,9 @@ def select_features(ds, config_doc, seed, out_path):
     """Run the bat algorithm on ds, write the mask file, return the result."""
     cfg, probe = bat_config_from_doc(config_doc, seed)
     train, valid = probe_split(ds, *probe, seed)
+    if not valid.n_samples:
+        raise DataError(f"the probe's validation split is empty: no class "
+                        f"has two of the {ds.n_samples} flows")
 
     def fitness(mask):
         return wrapper_fitness(mask, train, valid, eval_seed=seed,
@@ -284,8 +279,7 @@ def cmd_evaluate(model_path, data_path, cost_path, out_path):
 
 def _pipeline_variant(bat_cfg: BatConfig, rf_cfg: ForestConfig) -> str:
     switches = (bat_cfg.n_subgroups > 1, bat_cfg.use_mutation,
-                bat_cfg.use_self_learning, rf_cfg.class_weights is not None,
-                rf_cfg.use_weight_updates, rf_cfg.use_weighted_vote)
+                bat_cfg.use_self_learning, rf_cfg.weighted)
     if not any(switches):
         return "baseline"
     return "improved" if all(switches) else "custom"

@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import (N_CLASSES, EncodedDataset, check_doc, field_types,
                       fits, write_json)
 
-MODEL_FORMAT = "flowgate-model-v3"
+MODEL_FORMAT = "flowgate-model-v4"
 
 # class priors stated for the five-class split: Normal, Probe, DoS, U2R, R2L
 DEFAULT_CLASS_WEIGHTS = (0.3, 0.15, 0.35, 0.05, 0.15)
@@ -42,26 +42,22 @@ class TreeConfig:
 
 @dataclass
 class ForestConfig:
+    """weighted: the paper's forest (DEFAULT_CLASS_WEIGHTS priors, the
+    beta * e^{+-a_m} update after every tree, the accuracy-weighted vote);
+    False: the classical RF (uniform 1/N weights, no updates, majority)."""
     n_trees: int = 100
     tree: TreeConfig = field(default_factory=TreeConfig)
-    class_weights: tuple[float, ...] | None = DEFAULT_CLASS_WEIGHTS
-    use_weight_updates: bool = True
-    use_weighted_vote: bool = True
+    weighted: bool = True
 
     def validate(self):
         self.tree.validate()
-        cw = self.class_weights
-        if not (self.n_trees >= 1 and (cw is None or len(cw) == N_CLASSES
-                                       and min(cw) >= 0 and sum(cw) > 0)):
-            raise ValueError(f"require n_trees >= 1 and class_weights None or "
-                             f"{N_CLASSES} weights >= 0, sum > 0: {self}")
+        if not self.n_trees >= 1:
+            raise ValueError(f"require n_trees >= 1: {self}")
 
     @classmethod
     def baseline(cls, **fields):
-        """Classical RF: uniform sample weights, no updates, majority vote.
-        fields sets n_trees and tree."""
-        return cls(class_weights=None, use_weight_updates=False,
-                   use_weighted_vote=False, **fields)
+        """The classical RF; fields sets n_trees and tree."""
+        return cls(weighted=False, **fields)
 
 
 # the flat forest config of a model file: TreeConfig and ForestConfig fields
@@ -338,7 +334,7 @@ class Forest:
         return len(self.trees)
 
     def vote_matrix(self):
-        if self.config.use_weighted_vote:
+        if self.config.weighted:
             return self.accuracy_matrix
         return np.ones_like(self.accuracy_matrix)
 
@@ -386,12 +382,13 @@ def checked_mask(mask, n_features) -> np.ndarray:
 
 def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
         record_weights: bool = False) -> Forest:
-    """Train the weighted forest.
+    """Train the weighted forest, or the classical one if not cfg.weighted.
 
     Trees are grown sequentially: roulette bootstrap under the current
     weights, a tree grown on the distinct rows drawn with their counts,
     then one prediction pass over the dataset's distinct rows that gives
-    a_m, the per-class accuracy row and the beta-scheduled weight update.
+    a_m, the per-class accuracy row and, if cfg.weighted, the
+    beta-scheduled weight update.
     Per-tree RNG streams derive from (seed, tree index) so the result is
     deterministic.
     """
@@ -401,7 +398,8 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     # each tree grows on the distinct rows drawn, with their counts
     first, group = distinct_rows(ds.X[:, cols], ds.y)
     X, y = ds.X[first], ds.y[first]
-    weights = init_weights(ds.y, cfg.class_weights)
+    weights = init_weights(ds.y,
+                           DEFAULT_CLASS_WEIGHTS if cfg.weighted else None)
     history = [weights.copy()] if record_weights else None
     trees = []
     acc_rows = []
@@ -416,7 +414,7 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
             preds = tree.predict(X)[group]
             a_m, acc_row = score_tree(preds, ds.y)
             acc_rows.append(acc_row)
-            if cfg.use_weight_updates:
+            if cfg.weighted:
                 weights = update_weights(weights, preds, ds.y, a_m)
                 if record_weights:
                     history.append(weights.copy())
@@ -428,11 +426,11 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
                   mask=mask, config=cfg, weight_history=history)
 
 
-def config_from_doc(doc: dict, make=ForestConfig) -> ForestConfig:
-    """Validated make(...) from a checked flat config document."""
+def config_from_doc(doc: dict) -> ForestConfig:
+    """Validated ForestConfig from a checked flat config document."""
     tree = {k: doc[k] for k in field_types(TreeConfig) if k in doc}
-    cfg = make(tree=TreeConfig(**tree),
-               **{k: v for k, v in doc.items() if k not in tree})
+    cfg = ForestConfig(tree=TreeConfig(**tree),
+                       **{k: v for k, v in doc.items() if k not in tree})
     cfg.validate()
     return cfg
 

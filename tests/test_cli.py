@@ -1,14 +1,17 @@
 import json
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from flowgate import cli, dataset
+from flowgate.bat import BatConfig
 from flowgate.cli import main
 from flowgate.dataset import load_dataset
 from flowgate.metrics import KDD99_COST_MATRIX
+from flowgate.wrf import ForestConfig, TreeConfig
 from conftest import make_kdd_line
 from synth_kdd import write_synthetic_kdd
 
@@ -320,32 +323,44 @@ BAD_BAT_DOCS = [
 ]
 
 
+BAD_RF_DOCS = [
+    ("unknown-key", {"n_tree": 3}),
+    ("removed-key", {"invert_majority_beta": False}),
+    ("max-features-log2", {"max_features": "log2"}),
+    ("zero-trees", {"n_trees": 0}),
+    ("zero-depth", {"max_depth": 0}),
+    ("fractional-leaf", {"min_samples_leaf": 1.5}),
+    ("string-baseline", {"baseline": "yes"}),
+    # Stage 2 is the weighted forest or, with "baseline": true, the
+    # classical one: class_weights, use_weight_updates and
+    # use_weighted_vote are unknown keys, in any shape
+    ("two-class-weights", {"class_weights": [0.5, 0.5]}),
+    ("negative-class-weight", {"class_weights": [0.3, -0.1, 0.4, 0.2, 0.2]}),
+    ("zero-sum-class-weights", {"class_weights": [0, 0, 0, 0, 0]}),
+    ("baseline-with-weighting-key",
+     {"baseline": True, "use_weight_updates": False}),
+    ("string-weight-updates", {"use_weight_updates": "no"}),
+    ("integer-vote-switch", {"use_weighted_vote": 0}),
+    ("string-class-weights", {"class_weights": "uniform"}),
+    ("boolean-class-weight", {"class_weights": [1, 1, True, 1, 1]}),
+    ("removed-class-weights", {"class_weights": [0.3, 0.15, 0.35, 0.05,
+                                                 0.15]}),
+    ("removed-class-weights-default", {"class_weights": "default"}),
+    ("removed-use-weight-updates", {"use_weight_updates": True}),
+    ("removed-use-weighted-vote", {"use_weighted_vote": True}),
+    # the model file's switch is no document key: "baseline" is its one
+    # spelling
+    ("removed-weighted", {"weighted": False}),
+]
+
+
 @pytest.mark.parametrize("kind, payload, code", [
-    pytest.param("rf", {"n_tree": 3}, 2, id="unknown-key"),
-    pytest.param("rf", {"invert_majority_beta": False}, 2, id="removed-key"),
-    pytest.param("rf", {"max_features": "log2"}, 2, id="max-features-log2"),
-    pytest.param("rf", {"n_trees": 0}, 2, id="zero-trees"),
-    pytest.param("rf", {"max_depth": 0}, 2, id="zero-depth"),
-    pytest.param("rf", {"min_samples_leaf": 1.5}, 2, id="fractional-leaf"),
-    pytest.param("rf", {"class_weights": [0.5, 0.5]}, 2,
-                 id="two-class-weights"),
-    pytest.param("rf", {"class_weights": [0.3, -0.1, 0.4, 0.2, 0.2]}, 2,
-                 id="negative-class-weight"),
-    pytest.param("rf", {"class_weights": [0, 0, 0, 0, 0]}, 2,
-                 id="zero-sum-class-weights"),
-    pytest.param("rf", {"baseline": True, "use_weight_updates": False}, 2,
-                 id="baseline-with-weighting-key"),
-    pytest.param("rf", {"n_trees": 2, "max_features": "sqrt",
-                        "class_weights": [1, 1, 1, 1, 1]}, 0,
+    *[pytest.param("rf", doc, 2, id=name) for name, doc in BAD_RF_DOCS],
+    *[pytest.param("pipeline-rf", doc, 2, id=f"pipeline-rf-{name}")
+      for name, doc in BAD_RF_DOCS],
+    pytest.param("rf", {"n_trees": 2, "max_depth": 5, "min_samples_leaf": 3,
+                        "max_features": "sqrt", "baseline": True}, 0,
                  id="valid-custom"),
-    pytest.param("rf", {"use_weight_updates": "no"}, 2,
-                 id="string-weight-updates"),
-    pytest.param("rf", {"use_weighted_vote": 0}, 2, id="integer-vote-switch"),
-    pytest.param("rf", {"baseline": "yes"}, 2, id="string-baseline"),
-    pytest.param("rf", {"class_weights": "uniform"}, 2,
-                 id="string-class-weights"),
-    pytest.param("rf", {"class_weights": [1, 1, True, 1, 1]}, 2,
-                 id="boolean-class-weight"),
     *[pytest.param("bat", doc, 2, id=f"bat-{name}")
       for name, doc in BAD_BAT_DOCS],
     *[pytest.param("pipeline-bat", doc, 2, id=f"pipeline-bat-{name}")
@@ -383,8 +398,8 @@ BAD_BAT_DOCS = [
     pytest.param("mask", b"\xff{", 3, id="mask-not-utf8"),
     pytest.param("rf", b"\xff{", 2, id="rf-not-utf8"),
     pytest.param("model", None, 3, id="truncated-model"),
-    pytest.param("model", lambda d: d["config"].update(
-        use_weighted_vote="false"), 3, id="model-string-vote-switch"),
+    pytest.param("model", lambda d: d["config"].update(weighted="false"), 3,
+                 id="model-string-vote-switch"),
     pytest.param("model", lambda d: d["config"].update(n_trees="x"), 3,
                  id="model-string-n-trees"),
     pytest.param("model", lambda d: d.update(
@@ -397,6 +412,8 @@ BAD_BAT_DOCS = [
                  id="model-v1-format"),
     pytest.param("model", lambda d: d.update(format="flowgate-model-v2"), 3,
                  id="model-v2-format"),
+    pytest.param("model", lambda d: d.update(format="flowgate-model-v3"), 3,
+                 id="model-v3-format"),
     pytest.param("model", _set_node("kids", 0, 0), 3,
                  id="model-child-backwards"),
     pytest.param("model", _set_node("kids", 0, lambda t: len(t["label"])), 3,
@@ -555,7 +572,8 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
         args = ["compare", str(out), str(tmp_path / "run")]
     elif kind.startswith("pipeline"):
         doc = dict(cfg, output_dir=str(tmp_path / "run"))
-        doc.update({"bat": payload} if kind == "pipeline-bat" else payload)
+        block = kind[len("pipeline-"):]  # "bat", "rf", or none
+        doc.update({block: payload} if block else payload)
         (tmp_path / "pipeline.json").write_text(json.dumps(doc))
         args = ["pipeline", "--config", str(tmp_path / "pipeline.json")]
     else:
@@ -653,6 +671,34 @@ def test_pipeline_names_an_empty_split(pipeline_run, tmp_path, capsys,
     assert not (out / "mask.json").exists()
 
 
+@pytest.mark.parametrize("targets", [[1, 0, 0, 0, 0], [1] * 5],
+                         ids=["one-flow", "one-flow-per-class"])
+def test_empty_probe_validation_split_is_data_error(pipeline_run, tmp_path,
+                                                    capsys, targets):
+    """The probe puts a class's only flow in its training split: with no
+    class of two flows nothing is left to validate on, which exits 3
+    before any fitness is averaged over no rows."""
+    _, cfg = pipeline_run
+    message = (f"flowgate: the probe's validation split is empty: no class "
+               f"has two of the {sum(targets)} flows\n")
+    data, mask = tmp_path / "train.json", tmp_path / "mask.json"
+    assert main(["ingest", "--input", cfg["train_input"],
+                 "--targets", ",".join(map(str, targets)), "--seed", "0",
+                 "--output", str(data)]) == 0
+    assert main(["select-features", "--data", str(data), "--seed", "0",
+                 "--out", str(mask)]) == 3
+    assert capsys.readouterr().err == message
+    assert not mask.exists()
+    out = tmp_path / "run"
+    (tmp_path / "config.json").write_text(json.dumps(dict(
+        cfg, output_dir=str(out), train_targets=targets)))
+    assert main(["pipeline", "--config", str(tmp_path / "config.json")]) == 3
+    assert capsys.readouterr().err == message
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "failed at select-features"
+    assert not (out / "mask.json").exists()
+
+
 def test_pipeline_baseline_variant(corpus, tmp_path):
     train, test = corpus
     cfg = {
@@ -676,8 +722,8 @@ def test_pipeline_custom_variant_label(corpus, tmp_path):
         "train_input": train, "test_input": test,
         "train_targets": TRAIN_TARGETS, "test_targets": TEST_TARGETS,
         "seed": 3, "output_dir": str(tmp_path / "mix"),
-        "bat": BAT_DOC,
-        "rf": dict(RF_DOC, use_weight_updates=False),
+        "bat": dict(BAT_DOC, use_mutation=False),
+        "rf": RF_DOC,
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -793,6 +839,25 @@ def test_readme_pipeline_example_passes_the_checker():
                             required=list(cli.PIPELINE_TYPES)[:6])
     cli.bat_config_from_doc(doc["bat"], doc["seed"])
     cli.rf_config_from_doc(doc["rf"])
+
+
+def test_readme_lists_each_config_documents_keys():
+    """The README lists the keys of the bat and the rf document, each as
+    one backticked list; the documents take exactly those keys, and a
+    document of every listed key at its default passes the checker."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        listed = dict(re.findall(
+            r"\*\*(bat|rf) document\*\*.*?keys:\s*`(.*?)`", fh.read(), re.S))
+    defaults = dict(asdict(BatConfig()), **cli.PROBE_SIZES,
+                    **asdict(TreeConfig()), n_trees=ForestConfig().n_trees,
+                    baseline=False)
+    for name, types, parse in (
+            ("bat", cli.BAT_TYPES, lambda d: cli.bat_config_from_doc(d, 0)),
+            ("rf", cli.RF_TYPES, cli.rf_config_from_doc)):
+        keys = listed[name].split(", ")
+        assert sorted(keys) == sorted(types), name
+        parse({k: defaults[k] for k in keys})
 
 
 def test_pipeline_records_failed_stage(corpus, tmp_path):

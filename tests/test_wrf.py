@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 
@@ -154,8 +155,7 @@ class TestTrainTree:
                             y=np.repeat(np.r_[y, 2, 3, 4], 5),
                             feature_names=["x"], encoders={})
         forest = fit(ds, np.ones(1, dtype=np.uint8),
-                     ForestConfig(n_trees=1, tree=cfg, class_weights=None),
-                     seed=0)
+                     ForestConfig.baseline(n_trees=1, tree=cfg), seed=0)
         assert forest.trees[0].node_count() > 2000
         path = tmp_path / "chain.json"
         save_forest(forest, path)
@@ -687,7 +687,8 @@ class TestFitAndPredict:
         cols = np.flatnonzero(mask)
         forest = fit(ds, mask, cfg, seed=5)
         # fit as one loop over the bootstrap's repeated rows
-        weights = init_weights(ds.y, cfg.class_weights)
+        weights = init_weights(
+            ds.y, DEFAULT_CLASS_WEIGHTS if cfg.weighted else None)
         trees, acc_rows = [], []
         for m in range(cfg.n_trees):
             rng = np.random.default_rng(
@@ -697,13 +698,43 @@ class TestFitAndPredict:
                               rng)
             preds = tree.predict(ds.X)
             a_m, acc_row = score_tree(preds, ds.y)
-            if cfg.use_weight_updates:
+            if cfg.weighted:
                 weights = update_weights(weights, preds, ds.y, a_m)
             trees.append(tree)
             acc_rows.append(acc_row)
         assert same_trees(forest.trees, trees)
         assert np.array_equal(forest.accuracy_matrix,
                               np.stack(acc_rows, axis=1))
+
+    @pytest.mark.parametrize("cfg, nodes_sha, preds_sha", [
+        (ForestConfig(n_trees=8),
+         "53d601b0e3a05ddabbbb8c38551739d05b79b1a109c7917d5890f089ad5e21bd",
+         "742cdd62c871dc0237daa33b9f1f082a0dfccb2181ea32c0cd3ea16a20925350"),
+        (ForestConfig.baseline(n_trees=8,
+                               tree=TreeConfig(max_features="sqrt")),
+         "c5691cacbc9b78d1a4dc06b4bb45fc06c6398152e0e68d47b8e10f0a73d1fa27",
+         "1b8a44afa013957753903b4453856f7ae16667c80b529695f7715b7666dc0877"),
+    ], ids=["weighted", "sqrt-baseline"])
+    def test_golden_fit(self, cfg, nodes_sha, preds_sha):
+        """Recorded forests on a fixed set: the class priors and the weight
+        updates move the node arrays and the accuracy matrix, the vote
+        moves the predictions; a reference loop that follows the config
+        cannot see one of them wired to the wrong setting."""
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, 4, size=(300, 6)).astype(float)
+        y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, 300)).astype(int) % 5
+        ds = EncodedDataset(X=X, y=y, feature_names=[f"f{i}" for i in
+                                                     range(6)], encoders={})
+        forest = fit(ds, np.array([1, 1, 0, 1, 1, 1], dtype=np.uint8), cfg,
+                     seed=9)
+        nodes = hashlib.sha256()
+        for tree in forest.trees:
+            for a, dtype in zip(tree, ("<i8", "<f8", "<i8", "<i8")):
+                nodes.update(np.asarray(a, dtype=dtype).tobytes())
+        nodes.update(forest.accuracy_matrix.astype("<f8").tobytes())
+        assert nodes.hexdigest() == nodes_sha
+        preds = predict_batch(forest, X).astype("<i8")
+        assert hashlib.sha256(preds.tobytes()).hexdigest() == preds_sha
 
     def test_distinct_rows_groups_rows_equal_in_x_and_y(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0],
@@ -744,9 +775,7 @@ class TestFitAndPredict:
         ForestConfig(n_trees=0),
         ForestConfig(tree=TreeConfig(max_depth=0)),
         ForestConfig(tree=TreeConfig(max_features="log2")),
-        ForestConfig(class_weights=(0.5, 0.5)),
-        ForestConfig(class_weights=(0, 0, 0, 0, 0)),
-    ], ids=["zero-trees", "zero-depth", "log2", "two-weights", "zero-sum"])
+    ], ids=["zero-trees", "zero-depth", "log2"])
     def test_invalid_config_is_rejected_before_training(self, cfg):
         ds = synthetic_dataset([10] * 5, seed=0, n_features=6)
         with pytest.raises(ValueError, match="require"):
@@ -755,7 +784,7 @@ class TestFitAndPredict:
     def test_tree_error_carries_index(self):
         ds = synthetic_dataset([10, 10, 10, 10, 10], seed=0, n_features=6)
         ds.y[ds.y == 4] = 3  # class 4 absent -> per-class accuracy fails
-        cfg = ForestConfig(n_trees=1, class_weights=None)
+        cfg = ForestConfig.baseline(n_trees=1)
         with pytest.raises(RuntimeError, match="tree 0"):
             fit(ds, np.ones(6, dtype=np.uint8), cfg, 0)
 
@@ -774,12 +803,14 @@ class TestPersistence:
         path2 = tmp_path / "model2.json"
         save_forest(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
-        # nested-dict (v1) and per-tree list (v2) model files are not read
+        # nested-dict (v1), per-tree list (v2) and three-weighting-key (v3)
+        # model files are not read
         doc = json.loads(path.read_text())
-        for old in ("flowgate-model-v1", "flowgate-model-v2"):
+        for old in ("flowgate-model-v1", "flowgate-model-v2",
+                    "flowgate-model-v3"):
             doc["format"] = old
             path.write_text(json.dumps(doc))
-            with pytest.raises(ValueError, match=f"{old}.*flowgate-model-v3"):
+            with pytest.raises(ValueError, match=f"{old}.*flowgate-model-v4"):
                 load_forest(path)
 
     def test_rejects_foreign_file(self, tmp_path):
