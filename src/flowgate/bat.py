@@ -10,9 +10,6 @@ Bit-string addition and subtraction are both realized as XOR.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,57 +183,16 @@ def acceptance_step(bat: Bat, candidate: np.ndarray, candidate_fitness: float,
         bat.best_fitness = candidate_fitness
 
 
-def cpu_map(fn, items) -> list:
-    """[fn(x) for x in items] over w = min(CPUs this process may run on,
-    len(items)) processes: the caller computes items[0::w] and w - 1 forked
-    children compute items[k::w] and send their results back pickled. fn
-    should catch its own errors: a child that raises or dies ends without a
-    result, a RuntimeError here. On one CPU nothing forks."""
-    items = list(items)
-    w = min(len(os.sched_getaffinity(0)), len(items)) or 1
-    out, pipes, pids = [None] * len(items), [], []
-    try:
-        for k in range(1, w):
-            r, w_fd = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(w_fd, "wb") as writer:
-                pid = os.fork()
-                if pid == 0:  # the child never returns to the caller
-                    try:
-                        pickle.dump([fn(x) for x in items[k::w]], writer)
-                        writer.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            pids.append(pid)
-        out[0::w] = [fn(x) for x in items[0::w]]
-        results = [pipe.read() for pipe in pipes]
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for k, (data, status) in enumerate(zip(results, statuses), 1):
-        if status:
-            raise RuntimeError(f"worker process {k} of {w} ended without "
-                               f"a result (wait status {status})")
-        out[k::w] = pickle.loads(data)
-    return out
-
-
-def run(fitness_fn, d: int, cfg: BatConfig, map_fn=map) -> BatResult:
+def run(fitness_fn, d: int, cfg: BatConfig) -> BatResult:
     """Run the improved binary bat algorithm and return the best mask found.
 
     fitness_fn maps a d-bit mask to a real score (higher is better) and must
     be pure; evaluations are memoized on the mask bits. An iteration has
     three phases: each bat builds its candidate on its own (seed, iteration,
     index) stream; the distinct masks not yet memoized are scored as one
-    batch by map_fn (map, or cpu_map), in order of first appearance; each
-    bat accepts and mutates on the same stream. The initial population is
-    one batch too. Results depend on cfg.seed alone, not on map_fn.
+    batch by wrf.cpu_map, in order of first appearance, so forked children
+    may score some; each bat accepts and mutates on the same stream. The
+    initial population is one batch too. Results depend on cfg.seed alone.
     """
     cfg.validate()
     if d < 2:
@@ -253,7 +209,7 @@ def run(fitness_fn, d: int, cfg: BatConfig, map_fn=map) -> BatResult:
     def evaluate(masks, t):
         keys = [m.tobytes() for m in masks]
         fresh = [k for k in dict.fromkeys(keys) if k not in memo]
-        for key, (ok, value) in zip(fresh, map_fn(
+        for key, (ok, value) in zip(fresh, wrf.cpu_map(
                 attempt, [masks[keys.index(k)] for k in fresh])):
             if not ok:
                 raise RuntimeError(
@@ -336,6 +292,8 @@ def wrapper_fitness(mask: np.ndarray, train, valid, eval_seed: int,
     grown on the distinct rows under the mask, minus penalty * popcount / d.
     Counts are passed only when a row repeats: the uncounted scan is faster."""
     mask = wrf.checked_mask(mask, train.n_features)
+    if not valid.n_samples:
+        raise ValueError("empty validation set")
     cols = np.flatnonzero(mask)
     X = train.X[:, cols]
     first, group = wrf.distinct_rows(X, train.y)

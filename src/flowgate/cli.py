@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bat import BatConfig, cpu_map, run as run_bat, wrapper_fitness
+from .bat import BatConfig, run as run_bat, wrapper_fitness
 from .dataset import (EncodedDataset, FlowClass, N_CLASSES, check_doc,
                       dataset_hash, encode, field_types, load_dataset,
                       parse_kdd_csv, save_dataset, stratified_downsample,
@@ -170,7 +170,7 @@ def select_features(ds, config_doc, seed, out_path):
                                penalty=cfg.penalty)
 
     try:
-        result = run_bat(fitness, ds.n_features, cfg, cpu_map)
+        result = run_bat(fitness, ds.n_features, cfg)
     except RuntimeError as exc:
         raise DataError(str(exc)) from exc
     write_json({

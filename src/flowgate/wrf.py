@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -380,17 +384,60 @@ def checked_mask(mask, n_features) -> np.ndarray:
     return mask
 
 
+def cpu_map(fn, items) -> list:
+    """[fn(x) for x in items] over w = min(CPUs this process may run on,
+    len(items)) processes: the caller computes items[0::w] and w - 1 forked
+    children compute items[k::w] and send their results back pickled. fn
+    should catch its own errors: a child that raises or dies ends without a
+    result, a RuntimeError here. Nothing forks on one CPU, nor while another
+    thread runs: a child forked while a thread holds a lock can deadlock."""
+    items = list(items)
+    alone = threading.active_count() == 1
+    w = min(len(os.sched_getaffinity(0)) if alone else 1, len(items)) or 1
+    out, pipes, pids = [None] * len(items), [], []
+    try:
+        for k in range(1, w):
+            r, w_fd = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:  # the child never returns to the caller
+                    try:
+                        pickle.dump([fn(x) for x in items[k::w]], writer)
+                        writer.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        out[0::w] = [fn(x) for x in items[0::w]]
+        results = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (data, status) in enumerate(zip(results, statuses), 1):
+        if status:
+            raise RuntimeError(f"worker process {k} of {w} ended without "
+                               f"a result (wait status {status})")
+        out[k::w] = pickle.loads(data)
+    return out
+
+
 def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
         record_weights: bool = False) -> Forest:
     """Train the weighted forest, or the classical one if not cfg.weighted.
 
-    Trees are grown sequentially: roulette bootstrap under the current
-    weights, a tree grown on the distinct rows drawn with their counts,
-    then one prediction pass over the dataset's distinct rows that gives
-    a_m, the per-class accuracy row and, if cfg.weighted, the
-    beta-scheduled weight update.
-    Per-tree RNG streams derive from (seed, tree index) so the result is
-    deterministic.
+    Tree m draws a roulette bootstrap under the current weights on its own
+    (seed, m) stream, grows on the distinct rows drawn with their counts,
+    then makes one prediction pass over the dataset's distinct rows that
+    gives a_m and its per-class accuracy row. The weighted forest grows its
+    trees in turn, each drawing under the beta-scheduled weight update of
+    the tree before; the classical forest's trees are independent and grow
+    as one cpu_map batch. The forest depends on seed alone.
     """
     cfg.validate()
     mask = checked_mask(mask, ds.n_features)
@@ -401,27 +448,40 @@ def fit(ds: EncodedDataset, mask, cfg: ForestConfig, seed: int,
     weights = init_weights(ds.y,
                            DEFAULT_CLASS_WEIGHTS if cfg.weighted else None)
     history = [weights.copy()] if record_weights else None
-    trees = []
-    acc_rows = []
-    for m in range(cfg.n_trees):
+
+    def grow(m):
+        """(tree m, its accuracy row, a_m, its predictions on ds)."""
         rng = np.random.default_rng(derived_seed(seed, m))
+        idx = roulette_sample(weights, ds.n_samples, rng)
+        count = np.bincount(group[idx], minlength=first.size)
+        drawn = np.flatnonzero(count)
+        tree = train_tree(X[drawn][:, cols], y[drawn], cols, cfg.tree, rng,
+                          count[drawn])
+        preds = tree.predict(X)[group]
+        a_m, acc_row = score_tree(preds, ds.y)
+        return tree, acc_row, a_m, preds
+
+    def attempt(m):  # what a child sends back: no predictions
         try:
-            idx = roulette_sample(weights, ds.n_samples, rng)
-            count = np.bincount(group[idx], minlength=first.size)
-            drawn = np.flatnonzero(count)
-            tree = train_tree(X[drawn][:, cols], y[drawn], cols, cfg.tree,
-                              rng, count[drawn])
-            preds = tree.predict(X)[group]
-            a_m, acc_row = score_tree(preds, ds.y)
-            acc_rows.append(acc_row)
+            return grow(m)[:2]
+        except Exception as exc:
+            return exc
+
+    grown = [] if cfg.weighted else cpu_map(attempt, range(cfg.n_trees))
+    for m in range(cfg.n_trees):
+        try:
             if cfg.weighted:
+                tree, acc_row, a_m, preds = grow(m)
                 weights = update_weights(weights, preds, ds.y, a_m)
+                grown.append((tree, acc_row))
                 if record_weights:
                     history.append(weights.copy())
+            elif isinstance(grown[m], Exception):
+                raise grown[m]
         except Exception as exc:
             raise RuntimeError(f"tree {m}: {exc}") from exc
-        trees.append(tree)
-    return Forest(trees=trees,
+    trees, acc_rows = zip(*grown)
+    return Forest(trees=list(trees),
                   accuracy_matrix=np.stack(acc_rows, axis=1),
                   mask=mask, config=cfg, weight_history=history)
 

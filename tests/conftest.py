@@ -94,3 +94,27 @@ def no_child_left_behind():
     pytest.fail(f"the test left a child process behind "
                 f"(waitpid gave pid {pid}, status {status}; pid 0 means "
                 f"one is still running)")
+
+
+def set_cpus(monkeypatch, n):
+    """cpu_map sees n CPUs on any machine: it forks up to n - 1 children."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """cpu_map sees one CPU, so all work runs in this process."""
+    set_cpus(monkeypatch, 1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """cpu_map sees two CPUs, so it forks one child, on any machine."""
+    set_cpus(monkeypatch, 2)
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that grows by one entry at each os.fork from now on."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 import time
 
 import numpy as np
@@ -9,16 +10,16 @@ import pytest
 
 from flowgate import wrf
 from flowgate.balanced_kmeans import cluster
-from flowgate.bat import (A_0, Bat, BatConfig, acceptance_step, cpu_map,
+from flowgate.bat import (A_0, Bat, BatConfig, acceptance_step,
                           differential_mutation, gated_term, inertia_weight,
                           local_search, mutation_probability, random_mask,
                           run, self_learning_factor, shrinkage_factor,
                           update_position, update_velocity, wrapper_fitness)
 
 from flowgate.dataset import EncodedDataset
-from flowgate.wrf import TreeConfig, derived_seed, train_tree
+from flowgate.wrf import TreeConfig, cpu_map, derived_seed, train_tree
 
-from conftest import synthetic_dataset
+from conftest import count_forks, set_cpus, synthetic_dataset
 
 
 class ScriptedRng:
@@ -299,10 +300,12 @@ class TestRun:
         (7, [16, 20, 27, 27, 27, 27, 27, 27, 27, 27, 28, 28, 28, 28, 28, 28,
              29, 29, 29, 29, 29], "0101001001001111", 130),
     ])
-    def test_golden_run(self, seed, trace, mask, scored):
+    def test_golden_run(self, one_cpu, monkeypatch, seed, trace, mask,
+                        scored):
         """A recorded run on a fixed integer landscape: a mistyped schedule
         or bat constant moves the trace, the mask or the masks scored,
-        which a reference loop sharing those constants cannot see."""
+        which a reference loop sharing those constants cannot see. On one
+        CPU every mask is scored here; on two the child scores some."""
         calls = []
 
         def fitness(candidate):
@@ -312,11 +315,15 @@ class TestRun:
                          + sum((3 * a + 5 * b) % 7 - 3
                                for a, b in itertools.combinations(sel, 2)))
 
-        res = run(fitness, 16, BatConfig(n_bats=12, n_subgroups=3,
-                                         n_iterations=20, seed=seed))
+        cfg = BatConfig(n_bats=12, n_subgroups=3, n_iterations=20, seed=seed)
+        res = run(fitness, 16, cfg)
         assert res.trace == trace and res.fitness == trace[-1]
         assert "".join(map(str, res.mask)) == mask
         assert len(calls) == scored
+        set_cpus(monkeypatch, 2)
+        forked = run(fitness, 16, cfg)
+        assert forked.trace == trace
+        assert "".join(map(str, forked.mask)) == mask
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -329,7 +336,7 @@ class TestRun:
         with pytest.raises(RuntimeError, match="iteration 0, bat 0"):
             run(bad, 4, BatConfig(n_bats=4, n_subgroups=2, n_iterations=3))
 
-    def test_no_empty_mask_ever_evaluated(self):
+    def test_no_empty_mask_ever_evaluated(self, one_cpu):
         seen = []
 
         def fitness(mask):
@@ -389,6 +396,17 @@ class TestWrapperFitness:
         ds = synthetic_dataset([10] * 5, seed=0, n_features=4)
         with pytest.raises(ValueError, match="mask width"):
             wrapper_fitness(np.ones(3, dtype=np.uint8), ds, ds, 0)
+
+    def test_empty_validation_set_rejected_before_growing(self, monkeypatch):
+        train = synthetic_dataset([1, 1, 1, 0, 0], seed=0, n_features=4)
+
+        def grow(*args, **kwargs):
+            raise AssertionError("grew a tree with nothing to score it on")
+
+        monkeypatch.setattr(wrf, "train_tree", grow)
+        with pytest.raises(ValueError, match="^empty validation set$"):
+            wrapper_fitness(np.ones(4, dtype=np.uint8), train,
+                            valid=train.take([]), eval_seed=0)
 
 
 def _flows(X, y):
@@ -532,23 +550,17 @@ def interleaved_run(fitness_fn, d, cfg):
     return g_pos, g_fit, trace
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """cpu_map sees two CPUs, so it forks one child, on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
 class TestBatchedRun:
     """run scores each iteration as one batch; the result is that of the
     interleaved loop, in process or over two worker processes."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_bats, n_subgroups", [(1, 1), (2, 1), (9, 2)])
-    def test_matches_the_interleaved_loop(self, two_cpus, seed, n_bats,
-                                          n_subgroups):
+    def test_matches_the_interleaved_loop(self, one_cpu, monkeypatch, seed,
+                                          n_bats, n_subgroups):
         probe = functools.partial(wrapper_fitness, train=binary_flows(1),
                                   valid=binary_flows(2), eval_seed=seed)
-        scored = {"reference": [], "map": [], "cpu_map": []}
+        scored = {"reference": [], "run": []}
 
         def recorded(name):
             return lambda mask: scored[name].append(mask.tolist()) or \
@@ -557,15 +569,20 @@ class TestBatchedRun:
         cfg = BatConfig(n_bats=n_bats, n_subgroups=n_subgroups,
                         n_iterations=8, seed=seed)
         mask, fit, trace = interleaved_run(recorded("reference"), 8, cfg)
-        for map_fn in (map, cpu_map):
-            res = run(recorded(map_fn.__name__), 8, cfg, map_fn)
-            assert (res.mask.tolist(), res.fitness, res.trace) == \
-                (mask.tolist(), fit, trace)
-        # the same masks are scored in the same order; cpu_map's children
-        # score theirs in copies of the record
-        assert scored["map"] == scored["reference"]
+        res = run(recorded("run"), 8, cfg)
+        assert (res.mask.tolist(), res.fitness, res.trace) == \
+            (mask.tolist(), fit, trace)
+        # the same masks are scored in the same order
+        assert scored["run"] == scored["reference"]
+        # on two CPUs the child scores some masks, out of this record's sight
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        res = run(probe, 8, cfg)
+        assert (res.mask.tolist(), res.fitness, res.trace) == \
+            (mask.tolist(), fit, trace)
+        assert bool(forks) == (n_bats > 1)  # a batch of one never forks
 
-    def test_error_in_a_child_reads_as_serial(self, two_cpus):
+    def test_error_in_a_child_reads_as_serial(self, one_cpu, monkeypatch):
         cfg = BatConfig(n_bats=6, n_subgroups=2, n_iterations=3, seed=5)
         scored = []
 
@@ -590,8 +607,9 @@ class TestBatchedRun:
 
         with pytest.raises(RuntimeError) as serial:
             run(fails_on_second, 8, cfg)
+        set_cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError) as forked:
-            run(fails_in_child, 8, cfg, cpu_map)
+            run(fails_in_child, 8, cfg)
         assert str(forked.value) == str(serial.value)
         assert str(serial.value).startswith(
             "fitness evaluation failed at iteration 0, bat ")
@@ -634,3 +652,14 @@ class TestCpuMap:
         with pytest.raises(KeyError):
             cpu_map(slow_in_child, range(2))
         assert time.monotonic() - start < 30
+
+    def test_stays_in_process_while_another_thread_runs(self, two_cpus):
+        release = threading.Event()
+        parked = threading.Thread(target=release.wait)
+        parked.start()
+        try:
+            out = cpu_map(pid_and_square, range(4))
+        finally:
+            release.set()
+            parked.join()
+        assert out == [(os.getpid(), i * i) for i in range(4)]

@@ -6,13 +6,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from flowgate import cli, dataset
+from flowgate import cli, dataset, wrf
 from flowgate.bat import BatConfig
 from flowgate.cli import main
 from flowgate.dataset import load_dataset
 from flowgate.metrics import KDD99_COST_MATRIX
 from flowgate.wrf import ForestConfig, TreeConfig
-from conftest import make_kdd_line
+from conftest import make_kdd_line, set_cpus
 from synth_kdd import write_synthetic_kdd
 
 TRAIN_TARGETS = [400, 80, 700, 8, 60]
@@ -160,7 +160,7 @@ def _select_features(out, tmp_path):
 
 
 def test_select_features_worker_without_result_is_data_error(
-        pipeline_run, tmp_path, monkeypatch, capsys):
+        pipeline_run, tmp_path, two_cpus, monkeypatch, capsys):
     out, _ = pipeline_run
     parent, probe = os.getpid(), cli.wrapper_fitness
 
@@ -169,7 +169,6 @@ def test_select_features_worker_without_result_is_data_error(
             os._exit(1)
         return probe(*args, **kwargs)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(cli, "wrapper_fitness", dies_in_child)
     assert _select_features(out, tmp_path) == 3
     err = capsys.readouterr().err
@@ -178,15 +177,35 @@ def test_select_features_worker_without_result_is_data_error(
 
 
 def test_select_features_on_one_cpu_never_forks(pipeline_run, tmp_path,
-                                                monkeypatch):
+                                                one_cpu, monkeypatch):
     out, _ = pipeline_run
 
     def fork():
         raise AssertionError("forked on one CPU")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", fork)
     assert _select_features(out, tmp_path) == 0
+
+
+def test_classical_tree_error_in_a_child_is_data_error(
+        pipeline_run, tmp_path, two_cpus, monkeypatch, capsys):
+    out, _ = pipeline_run
+    parent, grow = os.getpid(), wrf.train_tree
+
+    def fails_in_child(X, y, *args):
+        if os.getpid() != parent:
+            raise ValueError("no tree")
+        return grow(X, y, *args)
+
+    monkeypatch.setattr(wrf, "train_tree", fails_in_child)
+    cfg = tmp_path / "rf.json"
+    cfg.write_text(json.dumps({"n_trees": 4, "baseline": True}))
+    rc = main(["train", "--data", str(out / "train.json"),
+               "--mask", str(out / "mask.json"), "--config", str(cfg),
+               "--seed", "0", "--out", str(tmp_path / "model.json")])
+    assert rc == 3
+    assert capsys.readouterr().err == "flowgate: tree 1: no tree\n"
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_train_rejects_foreign_mask_file(pipeline_run, tmp_path):
@@ -644,14 +663,14 @@ def test_pipeline_bytes_do_not_depend_on_worker_count(pipeline_run,
                                                      tmp_path, monkeypatch):
     _, cfg = pipeline_run
     runs = {}
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        out = tmp_path / f"cpus{len(cpus)}"
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
         (tmp_path / "config.json").write_text(json.dumps(
             dict(cfg, output_dir=str(out))))
         assert main(["pipeline", "--config", str(tmp_path / "config.json")]) \
             == 0
-        runs[len(cpus)] = [(out / f"{name}.json").read_bytes()
+        runs[cpus] = [(out / f"{name}.json").read_bytes()
                            for name in ("mask", "model", "report")]
     assert runs[1] == runs[2]
 

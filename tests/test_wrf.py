@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from flowgate.wrf import (DEFAULT_CLASS_WEIGHTS, DecisionTree, Forest,
                           roulette_sample, save_forest, score_tree,
                           train_tree, update_weights)
 
-from conftest import synthetic_dataset, synthetic_split
+from conftest import count_forks, set_cpus, synthetic_dataset, synthetic_split
 
 
 class TestInitWeights:
@@ -787,6 +788,73 @@ class TestFitAndPredict:
         cfg = ForestConfig.baseline(n_trees=1)
         with pytest.raises(RuntimeError, match="tree 0"):
             fit(ds, np.ones(6, dtype=np.uint8), cfg, 0)
+
+
+class TestForestOverCpus:
+    """The classical forest's trees grow as one cpu_map batch, the weighted
+    forest's in turn in this process; either way the forest is the same."""
+
+    @pytest.mark.parametrize("cfg", [
+        ForestConfig.baseline(n_trees=7),
+        ForestConfig.baseline(n_trees=7, tree=TreeConfig(max_features="sqrt")),
+    ], ids=["baseline", "sqrt"])
+    def test_classical_forest_is_the_same_on_one_cpu_and_two(
+            self, monkeypatch, cfg):
+        ds = synthetic_dataset([40, 15, 50, 8, 20], seed=3, n_features=9)
+        mask = np.array([1, 1, 0, 1, 1, 1, 0, 1, 1], dtype=np.uint8)
+        forests, forks = [], count_forks(monkeypatch)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            forests.append(fit(ds, mask, cfg, seed=6))
+            assert bool(forks) == (cpus == 2)
+        one, two = forests
+        assert same_trees(one.trees, two.trees)
+        assert one.accuracy_matrix.dtype == two.accuracy_matrix.dtype
+        assert np.array_equal(one.accuracy_matrix, two.accuracy_matrix)
+        assert np.array_equal(predict_batch(one, ds.X),
+                              predict_batch(two, ds.X))
+
+    def test_weighted_forest_never_forks(self, two_cpus, monkeypatch):
+        def fork():
+            raise AssertionError("the weighted forest forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        ds = synthetic_dataset([20] * 5, seed=1, n_features=6)
+        forest = fit(ds, np.ones(6, dtype=np.uint8), ForestConfig(n_trees=4),
+                     seed=2)
+        assert forest.n_trees == 4
+
+    def test_tree_error_in_a_child_reads_as_in_process(self, monkeypatch):
+        ds = synthetic_dataset([20] * 5, seed=1, n_features=6)
+        mask, cfg = np.ones(6, dtype=np.uint8), ForestConfig.baseline(
+            n_trees=4)
+        drawn = []
+
+        def record(X, y, *args):
+            drawn.append(y.tobytes())
+            return train_tree(X, y, *args)
+
+        set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(wrf, "train_tree", record)
+        fit(ds, mask, cfg, seed=0)
+        assert drawn.count(drawn[1]) == 1
+
+        def fails_on_tree_1(X, y, *args):
+            if y.tobytes() == drawn[1]:
+                raise ValueError(f"no tree on {y.size} rows")
+            return train_tree(X, y, *args)
+
+        # on two CPUs the child grows trees 1 and 3
+        monkeypatch.setattr(wrf, "train_tree", fails_on_tree_1)
+        errors = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            with pytest.raises(RuntimeError) as err:
+                fit(ds, mask, cfg, seed=0)
+            errors.append(err.value)
+        assert str(errors[0]) == str(errors[1])
+        assert str(errors[0]).startswith("tree 1: no tree on ")
+        assert all(type(e.__cause__) is ValueError for e in errors)
 
 
 class TestPersistence:
