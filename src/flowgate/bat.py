@@ -287,7 +287,7 @@ def run(fitness_fn, d: int, cfg: BatConfig) -> BatResult:
 
 
 def wrapper_fitness(mask: np.ndarray, train, valid, eval_seed: int,
-                    penalty: float = 0.01) -> float:
+                    penalty: float = BatConfig.penalty) -> float:
     """Probe-classifier fitness: validation accuracy of a depth-capped CART
     grown on the distinct rows under the mask, minus penalty * popcount / d.
     Counts are passed only when a row repeats: the uncounted scan is faster."""

@@ -5,7 +5,7 @@ Every stage writes files so runs can be resumed and compared; the
 pipeline also hands each stage's results to the next in memory.
 All randomness comes from explicit seeds; output artifacts embed a hash of
 the config that produced them. Exit codes: 0 success, 2 config/validation
-error, 3 runtime/data error.
+error, 3 runtime/data error; main alone maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ MASK_FORMAT = "flowgate-mask-v1"
 
 
 class ConfigError(Exception):
-    """Invalid configuration or missing input; exit code 2."""
-
-
-class DataError(Exception):
-    """Runtime or data failure inside a stage; exit code 3."""
+    """Invalid configuration or missing input; exit code 2. A ValueError,
+    RuntimeError or OSError is a data or runtime fault; exit code 3."""
 
 
 def _require_file(path, what):
@@ -104,12 +101,12 @@ def load_cost_matrix(path) -> np.ndarray:
     try:
         matrix = np.loadtxt(path, delimiter=",", dtype=np.float64)
     except ValueError as exc:
-        raise DataError(f"cannot parse cost matrix {path}: {exc}") from exc
+        raise ValueError(f"cannot parse cost matrix {path}: {exc}") from exc
     if matrix.shape != (N_CLASSES, N_CLASSES):
-        raise DataError(f"cost matrix {path} must be 5x5, "
-                        f"got {matrix.shape}")
+        raise ValueError(f"cost matrix {path} must be 5x5, "
+                         f"got {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
-        raise DataError(f"cost matrix {path} holds a non-finite entry")
+        raise ValueError(f"cost matrix {path} holds a non-finite entry")
     return matrix
 
 
@@ -118,12 +115,9 @@ def load_cost_matrix(path) -> np.ndarray:
 def cmd_ingest(input_path, targets, seed, output, encoders=None):
     """Parse, encode (with encoders, if given) and down-sample a CSV."""
     _require_file(input_path, "input dataset")
-    try:
-        ds = stratified_downsample(encode(parse_kdd_csv(input_path),
-                                          encoders), targets, seed)
-        save_dataset(ds, output)
-    except (ValueError, OSError) as exc:
-        raise DataError(str(exc)) from exc
+    ds = stratified_downsample(encode(parse_kdd_csv(input_path), encoders),
+                               targets, seed)
+    save_dataset(ds, output)
     return ds
 
 
@@ -162,17 +156,14 @@ def select_features(ds, config_doc, seed, out_path):
     cfg, probe = bat_config_from_doc(config_doc, seed)
     train, valid = probe_split(ds, *probe, seed)
     if not valid.n_samples:
-        raise DataError(f"the probe's validation split is empty: no class "
-                        f"has two of the {ds.n_samples} flows")
+        raise ValueError(f"the probe's validation split is empty: no "
+                         f"class has two of the {ds.n_samples} flows")
 
     def fitness(mask):
         return wrapper_fitness(mask, train, valid, eval_seed=seed,
                                penalty=cfg.penalty)
 
-    try:
-        result = run_bat(fitness, ds.n_features, cfg)
-    except RuntimeError as exc:
-        raise DataError(str(exc)) from exc
+    result = run_bat(fitness, ds.n_features, cfg)
     write_json({
         "format": MASK_FORMAT,
         "bits": "".join(str(int(b)) for b in result.mask),
@@ -188,12 +179,12 @@ def select_features(ds, config_doc, seed, out_path):
 
 
 def load_mask(path) -> np.ndarray:
-    doc = _load_json(path, "feature mask", DataError)
+    doc = _load_json(path, "feature mask", ValueError)
     if not isinstance(doc, dict) or doc.get("format") != MASK_FORMAT:
-        raise DataError(f"{path}: not a flowgate mask file")
+        raise ValueError(f"{path}: not a flowgate mask file")
     bits = doc.get("bits")
     if not isinstance(bits, str) or set(bits) - {"0", "1"}:
-        raise DataError(f"{path}: mask bits must be a string of 0s and 1s")
+        raise ValueError(f"{path}: mask bits must be a string of 0s and 1s")
     return np.array([int(c) for c in bits], dtype=np.uint8)
 
 
@@ -203,12 +194,12 @@ def _load_checked(load, path, what):
         return load(path)
     except (ValueError, KeyError, TypeError, AttributeError,
             RecursionError, OverflowError) as exc:
-        raise DataError(f"cannot load {what} {path}: {exc}") from exc
+        raise ValueError(f"cannot load {what} {path}: {exc}") from exc
 
 
 def _holds_flows(ds, path):
     if not ds.n_samples:
-        raise DataError(f"ingested dataset {path} holds no flows")
+        raise ValueError(f"ingested dataset {path} holds no flows")
     return ds
 
 
@@ -220,10 +211,7 @@ def _load_data(path):
 def train_model(ds, mask, config_doc, seed, out_path):
     """Fit the forest on ds under mask, write the model file, return it."""
     cfg = rf_config_from_doc(config_doc)
-    try:
-        forest = fit(ds, mask, cfg, seed)
-    except (ValueError, RuntimeError) as exc:
-        raise DataError(str(exc)) from exc
+    forest = fit(ds, mask, cfg, seed)
     save_forest(forest, out_path,
                 extra={"seed": seed, "config_hash": _config_hash(config_doc)})
     return forest
@@ -232,10 +220,7 @@ def train_model(ds, mask, config_doc, seed, out_path):
 def cmd_classify(model_path, data_path, out_path):
     forest = _load_checked(load_forest, model_path, "model")
     ds = _load_data(data_path)
-    try:
-        preds = predict_batch(forest, ds.X)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    preds = predict_batch(forest, ds.X)
     write_text("index,true_class,predicted_class\n" + "".join(
         f"{i},{FlowClass(t).name},{FlowClass(p).name}\n"
         for i, (t, p) in enumerate(zip(ds.y, preds))), out_path)
@@ -246,12 +231,7 @@ def evaluate_model(forest, ds, data_path, cost_path, out_path,
                    config_hash=None):
     """Score forest on ds, stored at data_path; write and return the report."""
     cost = load_cost_matrix(cost_path) if cost_path else KDD99_COST_MATRIX
-    try:
-        preds = predict_batch(forest, ds.X)
-        rep = evaluate_metrics(ds.y, preds, cost)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    doc = rep.to_doc()
+    doc = evaluate_metrics(ds.y, predict_batch(forest, ds.X), cost).to_doc()
     doc["dataset_sha256"] = dataset_hash(data_path)
     doc["n_samples"] = int(ds.n_samples)
     if config_hash:
@@ -367,27 +347,27 @@ COMPARE_METRICS = ("accuracy", "false_alarm_rate", "cost")
 
 
 def _report_metrics(run_dir):
-    """(dataset hash, {metric: value}) of a run's report.json; DataError
+    """(dataset hash, {metric: value}) of a run's report.json; ValueError
     unless it is an object with every compared metric as a number."""
     rp = os.path.join(run_dir, "report.json")
     if not os.path.isfile(rp):
-        raise DataError(f"run {run_dir}: missing report.json")
-    doc = _load_json(rp, "report", DataError)
+        raise ValueError(f"run {run_dir}: missing report.json")
+    doc = _load_json(rp, "report", ValueError)
     try:
         values = {key: doc[key] for key in COMPARE_METRICS}
         values.update((f"recall_{c.name}", doc["per_class"][c.name]["recall"])
                       for c in FlowClass)
     except (KeyError, TypeError) as exc:
-        raise DataError(f"{rp}: not a flowgate report ({exc!r})") from None
+        raise ValueError(f"{rp}: not a flowgate report ({exc!r})") from None
     if not all(type(v) in (int, float) for v in values.values()):
-        raise DataError(f"{rp}: a compared metric is not a number")
+        raise ValueError(f"{rp}: a compared metric is not a number")
     return doc.get("dataset_sha256"), values
 
 
 def cmd_compare(dir_a, dir_b, out_path=None):
     (hash_a, a), (hash_b, b) = _report_metrics(dir_a), _report_metrics(dir_b)
     if hash_a != hash_b:
-        raise DataError(
+        raise ValueError(
             "runs were evaluated on different test sets "
             f"({dir_a} vs {dir_b}); refusing to compare")
     rows = [("metric", dir_a, dir_b, "delta")] + [
@@ -513,7 +493,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"flowgate: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"flowgate: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -247,10 +247,14 @@ def field_types(*classes) -> dict:
 
 def fits(value, tp) -> bool:
     """Whether a JSON value has type tp. A boolean is never a number, a
-    float must be finite, and tuple[t, ...] is an array of t."""
+    float must be finite, tuple[t, ...] is an array of t and dict[str, t]
+    an object of t."""
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
         return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    if typing.get_origin(tp) is dict:
+        return isinstance(value, dict) and all(fits(v, args[1])
+                                               for v in value.values())
     if args:  # a union such as str | None
         return any(fits(value, t) for t in args)
     if tp is float:
@@ -315,6 +319,10 @@ def load_dataset(path) -> EncodedDataset:
         raise ValueError(f"{path}: labels must be class codes 0-4")
     if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
         raise ValueError(f"{path}: features must be rows of numbers")
+    if not (fits(doc["feature_names"], tuple[str, ...])
+            and fits(doc["encoders"], dict[str, dict[str, int]])):
+        raise ValueError(f"{path}: feature_names must be an array of strings, "
+                         f"encoders an object of symbol -> code objects")
     ds = EncodedDataset(
         X=np.array(rows, dtype=np.float64).reshape(
             len(labels), len(doc["feature_names"])), y=labels,

@@ -501,8 +501,9 @@ def _checked_trees(doc, n_trees, features) -> list:
     of the n_trees trees and kids tree-local. ValueError unless each node
     of a tree is a leaf or a split with two later nodes of the tree as
     children, each node but the root is the child of exactly one node, each
-    split feature is in features and each leaf has feature 0 and a class
-    code as label. OverflowError for an integer beyond 64 bits."""
+    split has label -1 and a feature in features and each leaf has feature
+    0, threshold 0.0 and a class code as label. OverflowError for an
+    integer beyond 64 bits."""
     if not (isinstance(doc, dict) and doc.keys() == set(NodeTable._fields)
             and all(isinstance(a, list) and set(map(type, a))
                     == {float if k == "threshold" else int}
@@ -536,10 +537,11 @@ def _checked_trees(doc, n_trees, features) -> list:
                       minlength=n) != 1,
           "a node is not the child of exactly one node")
     check(~np.isfinite(threshold) | np.where(
-        leaf, (feature != 0) | (label < 0) | (label >= N_CLASSES),
-        ~np.isin(feature, features)),
-        "a split feature outside the mask, a threshold not finite, or a leaf "
-        "feature not 0 or label not a class code")
+        leaf, (feature != 0) | (threshold != 0) | (label < 0)
+        | (label >= N_CLASSES), ~np.isin(feature, features) | (label != -1)),
+        "a threshold not finite, a split feature outside the mask or label "
+        "not -1, or a leaf feature or threshold not 0 or label not a class "
+        "code")
     return [DecisionTree(feature[a:b], threshold[a:b], label[a:b],
                          kids[2 * a:2 * b])
             for a, b in zip(root, root + size)]

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import string
 from dataclasses import asdict
 
 import numpy as np
@@ -112,6 +113,24 @@ def test_zero_flow_dataset_is_data_error(pipeline_run, tmp_path, capsys,
     assert main([command, *args]) == 3
     assert capsys.readouterr().err == (
         f"flowgate: ingested dataset {empty} holds no flows\n")
+
+
+@pytest.mark.parametrize("n_features", [1, 0])
+def test_select_features_on_fewer_than_two_features_is_data_error(
+        pipeline_run, tmp_path, capsys, n_features):
+    out, _ = pipeline_run
+    doc = json.loads((out / "train.json").read_text())
+    doc["features"] = [row[:n_features] for row in doc["features"]]
+    doc["feature_names"] = doc["feature_names"][:n_features]
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps(doc))
+    assert load_dataset(str(narrow)).n_features == n_features
+    rc = main(["select-features", "--data", str(narrow), "--seed", "0",
+               "--out", str(tmp_path / "mask.json")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "flowgate: mask dimension must be >= 2\n")
+    assert not (tmp_path / "mask.json").exists()
 
 
 # -------------------------------------------------------- feature selection
@@ -342,6 +361,29 @@ BAD_BAT_DOCS = [
 ]
 
 
+def _first_encoder(value):
+    """A dataset payload: value as the first symbol's code in the first
+    symbolic column's encoder."""
+    def payload(doc):
+        codes = next(iter(doc["encoders"].values()))
+        codes[next(iter(codes))] = value
+    return payload
+
+
+# a dataset's feature names and encoders, as select-features and evaluate
+# load it
+BAD_DATASET_HEADERS = [
+    ("feature-names-string",
+     lambda d: d.update(feature_names=string.ascii_letters[:41])),
+    ("feature-name-number", lambda d: d["feature_names"].__setitem__(0, 0)),
+    ("encoders-number", lambda d: d.update(encoders=7)),
+    ("encoder-array", lambda d: d["encoders"].update(service=[0, 1])),
+    ("encoder-string-code", _first_encoder("0")),
+    ("encoder-boolean-code", _first_encoder(True)),
+    ("encoder-float-code", _first_encoder(0.5)),
+]
+
+
 BAD_RF_DOCS = [
     ("unknown-key", {"n_tree": 3}),
     ("removed-key", {"invert_majority_beta": False}),
@@ -426,6 +468,10 @@ BAD_RF_DOCS = [
         id="model-accuracy-matrix-shape"),
     pytest.param("model", _set_node("label", _first_leaf, 7), 3,
                  id="model-leaf-label-7"),
+    pytest.param("model", _set_node("label", 0, 3), 3,
+                 id="model-split-label-3"),
+    pytest.param("model", _set_node("threshold", _first_leaf, 0.5), 3,
+                 id="model-leaf-threshold-0.5"),
     pytest.param("model", _unmasked_split, 3, id="model-unmasked-feature"),
     pytest.param("model", lambda d: d.update(format="flowgate-model-v1"), 3,
                  id="model-v1-format"),
@@ -493,6 +539,9 @@ BAD_RF_DOCS = [
                  id="dataset-string-feature"),
     pytest.param("dataset", lambda d: d["features"][0].__setitem__(0, True),
                  3, id="dataset-boolean-feature"),
+    *[pytest.param(f"dataset-{command}", doc, 3, id=f"{command}-{name}")
+      for command in ("select-features", "evaluate")
+      for name, doc in BAD_DATASET_HEADERS],
     pytest.param("cost", "nan", 3, id="cost-nan-entry"),
     pytest.param("cost", "inf", 3, id="cost-inf-entry"),
     pytest.param("csv", NEGATIVE_SEED, 2, id="ingest-negative-seed"),
@@ -566,13 +615,20 @@ def test_exit_code_contract(pipeline_run, tmp_path, capsys, kind, payload,
         args = ["select-features", "--data", str(out / "train.json"),
                 "--config", str(bat), "--seed", seed,
                 "--out", str(tmp_path / "mask.json")]
-    elif kind == "dataset":
+    elif kind.startswith("dataset"):
         doc = json.loads((out / "test.json").read_text())
         payload(doc)
-        (tmp_path / "test.json").write_text(json.dumps(doc))
-        args = ["classify", "--model", str(out / "model.json"),
-                "--data", str(tmp_path / "test.json"),
-                "--out", str(tmp_path / "preds.csv")]
+        data = tmp_path / "test.json"
+        data.write_text(json.dumps(doc))
+        command = kind[len("dataset-"):] or "classify"
+        args = {"classify": ["--model", str(out / "model.json"),
+                             "--out", str(tmp_path / "preds.csv")],
+                "select-features": ["--seed", seed,
+                                    "--out", str(tmp_path / "mask.json")],
+                "evaluate": ["--model", str(out / "model.json"),
+                             "--out", str(tmp_path / "report.json")],
+                }[command] + ["--data", str(data)]
+        args.insert(0, command)
     elif kind == "cost":
         cost = [[str(v) for v in row] for row in KDD99_COST_MATRIX.tolist()]
         cost[0][1] = payload

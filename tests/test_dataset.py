@@ -445,6 +445,10 @@ class TestCheckDoc:
         ("1,2", tuple[int, ...], False),
         ([0.5, 1], tuple[float, ...] | None, True),
         ({}, dict, True), ([], dict, False),
+        ({"a": {"b": 1}}, dict[str, dict[str, int]], True),
+        ({"a": {"b": True}}, dict[str, dict[str, int]], False),
+        ({"a": [1]}, dict[str, dict[str, int]], False),
+        (7, dict[str, dict[str, int]], False),
     ])
     def test_type_rules(self, value, tp, ok):
         assert fits(value, tp) is ok
