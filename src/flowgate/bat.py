@@ -290,7 +290,7 @@ def wrapper_fitness(mask: np.ndarray, train, valid, eval_seed: int,
                     penalty: float = BatConfig.penalty) -> float:
     """Probe-classifier fitness: validation accuracy of a depth-capped CART
     grown on the distinct rows under the mask, minus penalty * popcount / d.
-    Counts are passed only when a row repeats: the uncounted scan is faster."""
+    Counts are passed only when a row repeats."""
     mask = wrf.checked_mask(mask, train.n_features)
     if not valid.n_samples:
         raise ValueError("empty validation set")

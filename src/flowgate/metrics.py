@@ -66,9 +66,10 @@ def confusion(truth, predictions) -> np.ndarray:
         raise ValueError("truth and predictions are misaligned")
     if truth.size == 0:
         raise ValueError("cannot build a confusion matrix from zero samples")
-    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    np.add.at(cm, (truth, predictions), 1)
-    return cm
+    if not np.isin(np.r_[truth, predictions], range(N_CLASSES)).all():
+        raise ValueError(f"class codes must be 0 to {N_CLASSES - 1}")
+    return np.bincount(truth * N_CLASSES + predictions,
+                       minlength=N_CLASSES ** 2).reshape(N_CLASSES, N_CLASSES)
 
 
 def report(cm, cost_matrix=None) -> MetricsReport:

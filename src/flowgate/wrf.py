@@ -133,8 +133,8 @@ def route(table: NodeTable, X) -> np.ndarray:
     return table.label[leaf].reshape(table.root.size, n)
 
 
-# most (column, row) cells a node scores at once: bounds the temporaries at
-# the root, while a deep node scores all its columns in one pass
+# most (column, position) cells one pass scores at once: bounds the
+# temporaries at the root, while a deep pass scores all its columns at once
 SPLIT_CHUNK = 1 << 15
 # most (tree, row) pairs predict_batch routes at once
 ROUTE_CHUNK = 1 << 15
@@ -151,6 +151,9 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     every column's row order, and a split partitions that segment stably,
     so both children stay sorted. Thresholds are midpoints between adjacent
     distinct values; ties go to the lowest column, then lowest threshold.
+    A tree of every column grows a depth per pass, scoring and splitting all
+    its nodes at once, and numbers them in pre-order at the end; one that
+    draws columns grows a node per pass in pre-order, its draws' order.
     """
     XT = np.asarray(X, dtype=np.float64).T.copy()
     y = np.asarray(y, dtype=np.int64)
@@ -167,74 +170,190 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     mtry = int(math.ceil(math.sqrt(d))) if cfg.max_features == "sqrt" else d
     leaf = cfg.min_samples_leaf
     order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    codes, unpack = _class_codes(y, count)
     go_left = np.zeros(y.size, dtype=bool)
-    nodes = []  # [feature, threshold, label, right, left] per node
-    # an explicit stack, popped left child first: nodes are grown, and
-    # rng.choice drawn, in pre-order; a right child sets its parent's right
-    stack = [(0, y.size, 0, -1)]
-    while stack:
-        lo, hi, depth, parent = stack.pop()
-        i = len(nodes)
-        if parent >= 0:
-            nodes[parent][3] = i
-        seg = order[0, lo:hi]
-        counts = np.bincount(y[seg], minlength=N_CLASSES) if count is None \
-            else np.bincount(y[seg], count[seg], N_CLASSES).astype(np.int64)
-        n = int(counts.sum())
-        nodes.append([0, 0.0, int(np.argmax(counts)), i, i])  # a leaf
-        if depth >= cfg.max_depth or n < 2 * leaf or counts.max() == n:
-            continue
-        cols = np.sort(rng.choice(d, size=mtry, replace=False)) \
-            if mtry < d else np.arange(d)
-        parent_gini = 1.0 - np.sum((counts / n) ** 2)
-        best, c, thr = 0.0, None, None
-        m = hi - lo
-        left = np.arange(1, m + 1)  # rows left of each position, uncounted
-        step = max(1, SPLIT_CHUNK // m)
-        for s in range(0, mtry, step):
-            cs = cols[s:s + step]
-            rows = order[cs, lo:hi]
-            xs = XT[cs[:, None], rows]
-            hot = y[rows] == np.arange(N_CLASSES)[:, None, None]
-            if count is not None:
-                w = count[rows]
-                hot, left = hot * w, np.cumsum(w, axis=1)
-            # cuts between distinct values with >= leaf rows on each side,
-            # as flat positions in xs
-            cut = np.zeros(xs.shape, dtype=bool)
-            np.less(xs[:, :-1], xs[:, 1:], out=cut[:, :-1])
-            cut &= (left >= leaf) & (left <= n - leaf)
-            at = np.flatnonzero(cut)
-            if at.size == 0:
+    if mtry < d:
+        nodes = []  # [feature, threshold, label, right, left] per node
+        # popped left child first; a right child sets its parent's right
+        stack = [(0, y.size, 0, -1)]
+        while stack:
+            lo, hi, depth, parent = stack.pop()
+            i = len(nodes)
+            if parent >= 0:
+                nodes[parent][3] = i
+            seg = order[:, lo:hi]
+            counts = unpack(codes[:, seg[0]].sum(axis=1)[:, None])[:, 0]
+            n = int(counts.sum())
+            nodes.append([0, 0.0, int(np.argmax(counts)), i, i])  # a leaf
+            if depth >= cfg.max_depth or n < 2 * leaf or counts.max() == n:
                 continue
-            # class counts left of each cut, class-major: (N_CLASSES, cuts)
-            lc = np.take(np.cumsum(hot, axis=2, dtype=np.int32).reshape(
-                N_CLASSES, -1), at, axis=1).astype(np.float64)
-            nl = np.ones(N_CLASSES) @ lc
-            nr = n - nl
-            rc = counts[:, None] - lc
-            # integer counts: the sums of squares are exact in any order
-            gini_l = 1.0 - np.einsum("ij,ij->j", lc, lc) / nl ** 2
-            gini_r = 1.0 - np.einsum("ij,ij->j", rc, rc) / nr ** 2
-            decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
-            k = int(np.argmax(decrease))
-            if decrease[k] > best:
-                best, c = decrease[k], cs[at[k] // m]
-                thr = (xs.flat[at[k]] + xs.flat[at[k] + 1]) / 2.0
-        if c is None:
-            continue
-        rows = order[c, lo:hi]
-        go_left[rows] = XT[c, rows] <= thr
-        seg = order[:, lo:hi]
-        mark = go_left[seg]
-        mid = lo + int(np.count_nonzero(mark[0]))
-        order[:, lo:hi] = np.concatenate((seg[mark].reshape(d, -1),
-                                          seg[~mark].reshape(d, -1)), axis=1)
-        nodes[i] = [int(feature_ids[c]), float(thr), -1, -1, i + 1]
-        stack.append((mid, hi, depth + 1, i))
-        stack.append((lo, mid, depth + 1, -1))
-    feature, threshold, label, *kids = map(np.array, zip(*nodes))
-    return DecisionTree(feature, threshold, label, np.stack(kids, 1).ravel())
+            cols = np.sort(rng.choice(d, size=mtry, replace=False))
+            parent_gini = 1.0 - np.sum((counts / n) ** 2)
+            best, c, thr = 0.0, None, None
+            step = max(1, SPLIT_CHUNK // (hi - lo))
+            for cs in np.split(cols, range(step, mtry, step)):
+                rows = seg[cs]
+                xs = XT[cs[:, None], rows]
+                # cuts between distinct values, as flat positions in xs
+                cut = np.zeros(xs.shape, dtype=bool)
+                np.less(xs[:, :-1], xs[:, 1:], out=cut[:, :-1])
+                at = np.flatnonzero(cut)
+                lc = unpack(np.take(np.cumsum(codes[:, rows], axis=2).reshape(
+                    codes.shape[0], -1), at, axis=1))
+                decrease = _gini_decrease(lc, counts[:, None] - lc, n,
+                                          parent_gini, leaf)
+                k = int(np.argmax(decrease)) if at.size else 0
+                if at.size and decrease[k] > best:
+                    best, c = decrease[k], cs[at[k] // (hi - lo)]
+                    thr = (xs.flat[at[k]] + xs.flat[at[k] + 1]) / 2.0
+            if c is None:
+                continue
+            go_left[seg[c]] = XT[c, seg[c]] <= thr
+            mark = go_left[seg]
+            mid = lo + int(np.count_nonzero(mark[0]))
+            order[:, lo:hi] = np.concatenate(
+                (seg[mark].reshape(d, -1), seg[~mark].reshape(d, -1)), axis=1)
+            nodes[i] = [int(feature_ids[c]), float(thr), -1, -1, i + 1]
+            stack.append((mid, hi, depth + 1, i))
+            stack.append((lo, mid, depth + 1, -1))
+        feature, threshold, label, *kids = map(np.array, zip(*nodes))
+        return DecisionTree(feature, threshold, label,
+                            np.stack(kids, 1).ravel())
+    # one pass per depth over its nodes: their segments [lo, hi), class
+    # counts and parents; below the root they come in pairs, left first
+    lo, hi = np.zeros(1, np.int64), np.full(1, y.size)
+    counts, parent = unpack(codes.sum(axis=1)[:, None]).T, lo - 1
+    done, made = [], 0  # per depth: parent, label, feature, threshold
+    while lo.size:
+        n, label = counts.sum(axis=1), counts.argmax(axis=1)
+        feature, threshold = np.zeros_like(lo), np.zeros(lo.size)
+        done.append((parent, label, feature, threshold))
+        live = np.flatnonzero((n >= 2 * leaf) & (counts.max(axis=1) < n))
+        if len(done) > cfg.max_depth or not live.size:
+            break
+        c, thr = _best_cuts(XT, order, codes, unpack, lo[live], hi[live],
+                            counts[live], leaf)
+        split, c, thr = live[c >= 0], c[c >= 0], thr[c >= 0]
+        label[split], feature[split] = -1, feature_ids[c]
+        threshold[split] = thr
+        # split each segment stably, left rows first: all columns hold the
+        # same rows per segment, so they share one destination per side
+        lo, hi = lo[split], hi[split]
+        pos = _spans(lo, hi)
+        owner = np.repeat(np.arange(split.size), hi - lo)
+        rows = order[0, pos]
+        go_left[rows] = left = XT[c[owner], rows] <= thr[owner]
+        mid = lo + np.bincount(owner, left, split.size).astype(np.int64)
+        sub = order[:, pos]
+        mark = go_left[sub]
+        order[:, _spans(lo, mid)] = sub[mark].reshape(d, -1)
+        order[:, _spans(mid, hi)] = sub[~mark].reshape(d, -1)
+        counts = np.bincount((2 * owner + ~left) * N_CLASSES + y[rows],
+                             None if count is None else count[rows],
+                             2 * N_CLASSES * split.size).reshape(-1, N_CLASSES)
+        counts = counts.astype(np.int64)
+        lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
+        parent, made = np.repeat(made + split, 2), made + label.size
+    return _preorder(*map(np.concatenate, zip(*done)))
+
+
+def _class_codes(y, count):
+    """(codes, unpack): each row's count, or 1, in its class's bit field of
+    one int64 word, codes (1, rows), or of a word per class when the fields
+    need over 63 bits. A field is as wide as its class's total, so sums of
+    codes never carry; unpack takes sums (words, k) to (N_CLASSES, k)."""
+    unit = (np.ones_like(y) if count is None else count).astype(np.int64)
+    width = np.frexp(np.bincount(y, unit, N_CLASSES))[1].astype(np.int64)
+    one = width.sum() <= 63
+    shift = np.cumsum(width) - width if one else np.zeros_like(width)
+    codes = np.zeros((1 if one else N_CLASSES, y.size), np.int64)
+    codes[0 if one else y, np.arange(y.size)] = unit << shift[y]
+    bits = ((1 << width) - 1)[:, None]
+
+    def unpack(sums):
+        counts = sums >> shift[:, None]
+        counts &= bits
+        return counts
+    return codes, unpack
+
+
+def _gini_decrease(lc, rc, n, parent_gini, leaf):
+    """Gini decrease of cuts with left and right class counts lc and rc
+    (N_CLASSES, cuts) in nodes of n rows and impurity parent_gini, each
+    broadcast against the cuts; 0.0 where a side keeps < leaf rows."""
+    nl, nr = lc.sum(axis=0), rc.sum(axis=0)
+    # integer counts, squares and sums: exact, and so are their floats
+    gini_l = 1.0 - np.einsum("ij,ij->j", lc, lc) / nl ** 2
+    gini_r = 1.0 - np.einsum("ij,ij->j", rc, rc) / nr ** 2
+    decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
+    return np.where((nl >= leaf) & (nr >= leaf), decrease, 0.0)
+
+
+def _spans(lo, hi):
+    """The positions [lo_i, hi_i) of every segment i, concatenated."""
+    size = hi - lo
+    return np.repeat(lo + size - np.cumsum(size), size) + np.arange(size.sum())
+
+
+def _best_cuts(XT, order, codes, unpack, lo, hi, counts, leaf):
+    """(column, threshold) of each node's best cut over every column, column
+    -1 where none lowers its Gini impurity; node i owns [lo_i, hi_i) of each
+    column's order and holds counts[i]. A chunk scores at most SPLIT_CHUNK
+    cells of all nodes; a later one replaces a node's best only by beating
+    it."""
+    n = counts.sum(axis=1)
+    parent_gini = 1.0 - np.sum((counts / n[:, None]) ** 2, axis=1)
+    size = hi - lo
+    pos = _spans(lo, hi)
+    start = np.cumsum(size) - size  # each node's first position in pos
+    owner = np.repeat(np.arange(lo.size), size)
+    inside = owner[:-1] == owner[1:]
+    best, col, thr = np.zeros(lo.size), np.full(lo.size, -1), np.zeros(lo.size)
+    step = max(1, SPLIT_CHUNK // pos.size)
+    for cs in np.split(np.arange(XT.shape[0]), range(step, XT.shape[0], step)):
+        rows = order[cs[:, None], pos]
+        xs = XT[cs[:, None], rows]
+        # cuts between distinct values of a segment, as (column, position)
+        cut = np.zeros(xs.shape, dtype=bool)
+        np.less(xs[:, :-1], xs[:, 1:], out=cut[:, :-1])
+        cut[:, :-1] &= inside
+        k, p = np.nonzero(cut)
+        node = owner[p]
+        # packed class counts before each position, a column per row of cum
+        cum = np.zeros((codes.shape[0], cs.size, pos.size + 1), np.int64)
+        np.cumsum(codes[:, rows], axis=2, out=cum[:, :, 1:])
+        cum = cum.reshape(codes.shape[0], -1)
+        at = k * (pos.size + 1)
+        lc = unpack(np.take(cum, at + p + 1, axis=1)
+                    - np.take(cum, at + start[node], axis=1))
+        decrease = _gini_decrease(lc, np.take(counts.T, node, axis=1) - lc,
+                                  n[node], parent_gini[node], leaf)
+        # the first cut, in (column, position) order, of each node's largest
+        # decrease, where that beats the node's best
+        top = np.zeros(lo.size)
+        np.maximum.at(top, node, decrease)
+        hit = np.flatnonzero((decrease == top[node]) & (top > best)[node])
+        new, first = np.unique(node[hit], return_index=True)
+        k, p = k[hit[first]], p[hit[first]]
+        best[new], col[new] = top[new], cs[k]
+        thr[new] = (xs[k, p] + xs[k, p + 1]) / 2.0
+    return col, thr
+
+
+def _preorder(parent, label, feature, threshold) -> DecisionTree:
+    """The DecisionTree of nodes listed parents first, the children of each
+    split in a pair, left then right: node i > 0 is a left child if odd."""
+    up, size, pre = parent.tolist(), [1] * parent.size, [0] * parent.size
+    for i in range(parent.size - 1, 0, -1):
+        size[up[i]] += size[i]
+    for i in range(1, parent.size):  # right: after its left sibling's subtree
+        pre[i] = pre[up[i]] + 1 + (0 if i % 2 else size[i - 1])
+    pre = np.array(pre)
+    kids = np.repeat(pre, 2)  # right, left; a leaf's own index twice
+    kids[2 * parent[1:] + np.arange(1, parent.size) % 2] = pre[1:]
+    at = np.argsort(pre)
+    return DecisionTree(feature[at], threshold[at], label[at],
+                        kids.reshape(-1, 2)[at].ravel())
 
 
 def distinct_rows(X, y):

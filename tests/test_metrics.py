@@ -27,6 +27,14 @@ def test_confusion_misaligned():
         confusion([], [])
 
 
+@pytest.mark.parametrize("truth, preds", [([0, 1], [-1, 1]), ([0], [5]),
+                                          ([-1], [0]), ([5, 0], [0, 0])])
+def test_confusion_rejects_codes_outside_the_classes(truth, preds):
+    # a -1 would wrap to class 4 and a 5 index past the matrix
+    with pytest.raises(ValueError, match="class codes"):
+        confusion(truth, preds)
+
+
 def test_perfect_classifier():
     truth = np.repeat(np.arange(5), 10)
     rep = evaluate(truth, truth)

@@ -254,11 +254,22 @@ def same_trees(a, b):
     return len(a) == len(b) and all(map(same_tree, a, b))
 
 
+# two values whose midpoint rounds onto the upper one, so all rows go left
+LOW, HIGH = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+
+
 def oracle_cases():
     """Seeded inputs of 1 to 300 rows: heavily tied integer columns, a
     constant column, a continuous column, in every other case a copy of
-    column 0 (tied decreases), and in every third case a column whose
-    midpoint rounds onto the upper value, so all rows go left."""
+    column 0 (tied decreases), and in every third case a LOW/HIGH column.
+    Then three built cases that the root splits on column 0, so that the
+    second depth holds two splittable nodes:
+    - on the left, labels that are the XOR of columns 1 and 2, which no cut
+      improves, while column 3 splits the right;
+    - on the left, labels that equal columns 1 and 2, a tie between
+      columns, while continuous column 4 splits the right;
+    - on the left, labels set by the LOW/HIGH column 5, while the right is
+      pure."""
     for seed, n in enumerate([1, 2, 3, 1, 2, 3, 12, 40, 40, 150, 300, 300]):
         rng = np.random.default_rng([seed, n])
         X = rng.integers(0, rng.integers(2, 6), size=(n, 6)).astype(float)
@@ -267,18 +278,34 @@ def oracle_cases():
         if seed % 2:
             X[:, 3] = X[:, 0]
         if seed % 3 == 0:
-            X[:, 5] = np.where(rng.random(n) < 0.5, 1.0 + 2.0 ** -52,
-                               1.0 + 2.0 ** -51)
+            X[:, 5] = np.where(rng.random(n) < 0.5, LOW, HIGH)
         y = rng.integers(0, rng.integers(1, 6), size=n)
         yield X, y
+    rng = np.random.default_rng(17)
+    bits = np.repeat(np.indices((2, 2, 2)).reshape(3, -1).T, 4, axis=0)
+    left, a, b = bits[:, 0] == 0, bits[:, 1], bits[:, 2]
+    side = rng.integers(0, 2, bits.shape[0])  # a right row's label
+    X = np.zeros((bits.shape[0], 6))
+    X[:, :3] = bits
+    X[:, 3] = np.where(left, 0.0, side)
+    yield X.copy(), np.where(left, a ^ b, 2 + side)
+    X[:, 2] = X[:, 1]
+    X[:, 3] = 0.0
+    X[:, 4] = np.where(left, 0.0, rng.normal(size=bits.shape[0]) + 3 * side)
+    yield X.copy(), np.where(left, a, 2 + side)
+    X[:, 1:5] = 0.0
+    X[:, 5] = np.where(a == 1, HIGH, LOW)
+    yield X, np.where(left, a, 2)
 
 
 def counted_cases():
     """Distinct rows with counts: oracle_cases' rows counted 1 to 3 times,
-    plus two built cases. In the first, one distinct row counted 5 times
+    plus four built cases. In the first, one distinct row counted 5 times
     faces five single rows, so min_samples_leaf 2 or 5 admits the cut
     between them only through that count. In the second, many rows share
-    x but differ in y."""
+    x but differ in y. In the last two the counts sum past 4096: first
+    over three classes, whose totals still pack into one word, then with
+    every class over 4096, whose five fields do not."""
     for seed, (X, y) in enumerate(oracle_cases()):
         yield X, y, np.random.default_rng(seed).integers(1, 4, y.size)
     yield (np.repeat(np.arange(6.0), 6).reshape(6, 6), np.r_[0, 1, 1, 1, 1, 1],
@@ -286,6 +313,9 @@ def counted_cases():
     rng = np.random.default_rng(99)
     yield (rng.integers(0, 2, size=(60, 6)).astype(float),
            rng.integers(0, 5, 60), rng.integers(1, 6, 60))
+    X = rng.integers(0, 4, size=(15, 6)).astype(float)
+    yield X, np.arange(15) % 3, rng.integers(300, 3000, 15)
+    yield X, np.arange(15) % 5, rng.integers(1400, 1800, 15)
 
 
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
