@@ -16,6 +16,7 @@ import numpy as np
 
 from . import wrf
 from .balanced_kmeans import cluster
+from .dataset import distinct_rows
 
 
 @dataclass
@@ -289,18 +290,16 @@ def run(fitness_fn, d: int, cfg: BatConfig) -> BatResult:
 def wrapper_fitness(mask: np.ndarray, train, valid, eval_seed: int,
                     penalty: float = BatConfig.penalty) -> float:
     """Probe-classifier fitness: validation accuracy of a depth-capped CART
-    grown on the distinct rows under the mask, minus penalty * popcount / d.
-    Counts are passed only when a row repeats."""
+    grown on the distinct rows under the mask, each counted as often as it
+    occurs in train, minus penalty * popcount / d."""
     mask = wrf.checked_mask(mask, train.n_features)
     if not valid.n_samples:
         raise ValueError("empty validation set")
     cols = np.flatnonzero(mask)
     X = train.X[:, cols]
-    first, group = wrf.distinct_rows(X, train.y)
-    count = np.bincount(group)
+    first, group = distinct_rows(X, train.y)
     tree = wrf.train_tree(X[first], train.y[first], cols,
                           wrf.TreeConfig(max_depth=10, max_features=None),
-                          np.random.default_rng(eval_seed),
-                          count if count.size < group.size else None)
+                          np.random.default_rng(eval_seed), np.bincount(group))
     acc = float(np.mean(tree.predict(valid.X) == valid.y))
     return acc - penalty * mask.sum() / mask.size

@@ -115,24 +115,34 @@ class EncodedDataset:
 
 
 def parse_kdd_csv(path) -> FlowTable:
-    """Read a KDD-format CSV into a FlowTable.
+    """Read a KDD-format CSV into a FlowTable, one entry per line.
 
     Each line holds 41 features plus the label; a trailing difficulty field
     (43 fields total) is tolerated and dropped. Blank and whitespace-only
-    lines are skipped. A label must name a known attack; any trailing '.' is
-    stripped. The numeric fields go through numpy's C reader, which rounds
-    as float() does but takes only ASCII numbers: '1_0' is an error.
+    lines are skipped, and so is a leading UTF-8 byte-order mark. A label
+    must name a known attack; any trailing '.' is stripped. The numeric
+    fields go through numpy's C reader, which rounds as float() does but
+    takes only ASCII numbers: '1_0' is an error. Lines that strip to the
+    same text are checked and read once, in order of first appearance, so
+    an error names the first line that holds the failing text.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except OSError as exc:
         raise OSError(f"cannot read KDD file {path}: {exc}") from exc
-    kept, linenos, symbols, labels = [], [], [], []
+    # each distinct text -> its number, the line it first appears on, and
+    # each non-blank line's distinct number
+    distinct, linenos, index = {}, [], []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line:
-            continue
+        if line:
+            i = distinct.setdefault(line, len(distinct))
+            if i == len(linenos):
+                linenos.append(lineno)
+            index.append(i)
+    symbols, labels = [], []
+    for lineno, line in zip(linenos, distinct):
         n = line.count(",") + 1
         if n not in (N_FEATURES + 1, N_FEATURES + 2):
             raise ValueError(f"line {lineno}: expected {N_FEATURES + 1} "
@@ -141,24 +151,24 @@ def parse_kdd_csv(path) -> FlowTable:
         label = line.rsplit(",", n - N_FEATURES)[1].rstrip(".")
         if not label:
             raise ValueError(f"line {lineno}: empty label")
-        kept.append(line)
-        linenos.append(lineno)
         symbols.append(line.split(",", 4)[1:4])
         labels.append(label)
     for label in dict.fromkeys(labels):
         if label.lower() not in ATTACK_CLASSES:
             raise ValueError(f"line {linenos[labels.index(label)]}: unknown "
                              f"attack label {label!r}")
-    if not kept:
+    if not distinct:
         return FlowTable(np.empty((0, len(NUMERIC_COLUMNS))),
                          [[] for _ in SYMBOLIC_COLUMNS], [])
     try:
-        numeric = np.loadtxt(kept, delimiter=",", comments=None,
+        numeric = np.loadtxt(list(distinct), delimiter=",", comments=None,
                              usecols=NUMERIC_COLUMNS, ndmin=2)
-    except ValueError as exc:  # numpy counts rows among the kept lines
+    except ValueError as exc:  # numpy counts rows among the distinct lines
         raise ValueError(re.sub(r"at row (\d+)", lambda m: f"on line "
                                 f"{linenos[int(m[1])]}", str(exc))) from None
-    return FlowTable(numeric, [list(c) for c in zip(*symbols)], labels)
+    return FlowTable(numeric[index],
+                     [[column[i] for i in index] for column in zip(*symbols)],
+                     [labels[i] for i in index])
 
 
 def map_attack_to_class(label: str) -> FlowClass:
@@ -281,12 +291,28 @@ def check_doc(doc, types, required=()) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
+def distinct_rows(X, y):
+    """(first, group): the first row of each group of rows equal byte for
+    byte in X and in y, which grow and predict alike, and each row's group."""
+    key = np.ascontiguousarray(np.column_stack((X, y)))
+    rows = key.view(f"V{key.itemsize * key.shape[1]}").ravel()
+    # np.unique's first and inverse, with one copy of the keys, not two
+    order = rows.argsort(kind="stable")
+    ordered = rows[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
 def save_dataset(ds: EncodedDataset, path) -> None:
     """Write the dataset exchange file (self-describing JSON, round-trips
     bit-exactly): write_json's bytes with "features": ds.X.tolist(), but
-    each distinct float64 bit pattern of a column (so -0.0 apart from 0.0)
-    formatted once, as json does, with float.__repr__. "features" sorts
-    just before "format", which only the integer "labels" follows."""
+    each distinct row's text built once, from each distinct float64 bit
+    pattern of its column (so -0.0 apart from 0.0) formatted once, as json
+    does, with float.__repr__. "features" sorts just before "format",
+    which only the integer "labels" follows."""
     doc = {
         "format": DATASET_FORMAT,
         "feature_names": list(ds.feature_names),
@@ -294,14 +320,18 @@ def save_dataset(ds: EncodedDataset, path) -> None:
         "class_counts": ds.class_counts.tolist(),
         "labels": ds.y.tolist(),
     }
-    cells = np.empty(ds.X.shape, dtype=object)
-    for j, column in enumerate(ds.X.T):
+    # y in the key too: a key of X alone is empty when X has no columns
+    first, group = distinct_rows(ds.X, ds.y)
+    cells = np.empty((first.size, ds.n_features), dtype=object)
+    for j, column in enumerate(ds.X[first].T):
         patterns, index = np.unique(column.view(np.uint64),
                                     return_inverse=True)
         cells[:, j] = np.array([float.__repr__(v) for v in patterns.view(
             np.float64).tolist()], dtype=object)[index]
-    rows = ",".join(["[" + ",".join(row) + "]" for row in cells])
-    del cells  # free before the file text is built: it sets the peak RSS
+    texts = np.array(["[" + ",".join(row) + "]" for row in cells.tolist()],
+                     dtype=object)
+    rows = ",".join(texts[group].tolist())
+    del cells, texts  # free before the file text is built: it sets the peak
     head, sep, tail = json.dumps(doc, sort_keys=True, separators=(
         ",", ":")).rpartition(',"format":')
     write_text(f'{head},"features":[{rows}]{sep}{tail}', path)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import (N_CLASSES, EncodedDataset, check_doc, field_types,
-                      fits, write_json)
+from .dataset import (N_CLASSES, EncodedDataset, check_doc, distinct_rows,
+                      field_types, fits, write_json)
 
 MODEL_FORMAT = "flowgate-model-v4"
 
@@ -354,15 +354,6 @@ def _preorder(parent, label, feature, threshold) -> DecisionTree:
     at = np.argsort(pre)
     return DecisionTree(feature[at], threshold[at], label[at],
                         kids.reshape(-1, 2)[at].ravel())
-
-
-def distinct_rows(X, y):
-    """(first, group): the first row of each group of rows equal byte for
-    byte in X and in y, which grow and predict alike, and each row's group."""
-    key = np.ascontiguousarray(np.column_stack((X, y)))
-    _, first, group = np.unique(key.view(f"V{key.itemsize * key.shape[1]}"),
-                                return_index=True, return_inverse=True)
-    return first, group.reshape(-1)
 
 
 def init_weights(labels, class_weights=None) -> np.ndarray:

@@ -470,23 +470,22 @@ class TestProbeOnDistinctRows:
             assert wrapper_fitness(mask, train, valid, eval_seed=4) == \
                 self.oracle(mask, train, valid, leaf)
 
-    @pytest.mark.parametrize("make,counted", [(binary_flows, True),
-                                              (gaussian_flows, False)])
-    def test_counts_only_when_rows_repeat(self, monkeypatch, make, counted):
+    @pytest.mark.parametrize("make", [binary_flows, gaussian_flows],
+                             ids=["repeated", "distinct"])
+    def test_grows_on_counted_distinct_rows(self, monkeypatch, make):
         train = make(1)
         seen = []
 
         def spy(X, y, feature_ids, cfg, rng, count=None):
-            seen.append((y.size, count))
+            seen.append((X, y, count))
             return train_tree(X, y, feature_ids, cfg, rng, count)
 
         monkeypatch.setattr(wrf, "train_tree", spy)
         wrapper_fitness(MASKS[1], train, train, eval_seed=0)
-        (rows, count), = seen
-        if counted:
-            assert rows < train.n_samples and count.sum() == train.n_samples
-        else:
-            assert rows == train.n_samples and count is None
+        (X, y, count), = seen
+        rows = np.column_stack((X, y))
+        assert len(np.unique(rows, axis=0)) == len(rows) == count.size
+        assert count.min() >= 1 and count.sum() == train.n_samples
 
 
 def interleaved_run(fitness_fn, d, cfg):

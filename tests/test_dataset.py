@@ -93,6 +93,35 @@ class TestParse:
                                              "'flubber'"):
             parse_kdd_csv(path)
 
+    def test_a_repeated_bad_line_is_named_at_its_first_line(self, tmp_path):
+        # good lines repeat before the bad one, and the bad text repeats
+        # after it with other surrounding whitespace: each error names the
+        # first line that holds the bad text, blank lines counted
+        rng = np.random.default_rng(0)
+        good, other = make_kdd_line(rng, "normal"), make_kdd_line(rng, "smurf")
+        fields = other.split(",")
+        fields[0] = "oops"
+        for bad, message in [
+                (good.split(",", 1)[1], "line 5: expected 42 fields, got 41"),
+                (good[:-len("normal")] + "flubber.",
+                 "line 5: unknown attack label 'flubber'"),
+                (",".join(fields), "'oops'.* on line 5, column 1")]:
+            path = tmp_path / "bad.csv"
+            path.write_text(f"{good}\n{good}\n\n {good}\t\n{bad}\n{other}\n"
+                            f"  {bad}\r\n{bad}\n")
+            with pytest.raises(ValueError, match=message):
+                parse_kdd_csv(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports begin with U+FEFF
+        text = make_kdd_file(tmp_path / "plain.csv", seed=3).read_text()
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = parse_kdd_csv(tmp_path / "plain.csv"), parse_kdd_csv(marked)
+        assert a.numeric.tobytes() == b.numeric.tobytes()
+        assert (a.symbols, a.labels) == (b.symbols, b.labels)
+
 
 class TestAttackMapping:
     def test_normal(self):
@@ -245,7 +274,8 @@ NUMBER_FORMS = [repr, "{:.3e}".format, "{:+.6f}".format, "{:.17g}".format,
 def write_messy_kdd(path, seed, rows=300):
     """KDD lines in the forms a capture may take: 42- and 43-field lines
     mixed, blank and whitespace-only lines, LF and CRLF line ends,
-    upper-case labels with a trailing '.', numbers written many ways."""
+    upper-case labels with a trailing '.', numbers written many ways, and
+    lines repeated, some with other surrounding whitespace or line end."""
     rng = np.random.default_rng(seed)
     labels = ["normal", "smurf", "satan", "rootkit", "guess_passwd", "back"]
     lines = []
@@ -263,6 +293,10 @@ def write_messy_kdd(path, seed, rows=300):
         lines.append(",".join(fields))
         if rng.random() < 0.1:
             lines.append(["", "   ", "\t", " \t "][rng.integers(4)])
+        if rng.random() < 0.5:  # an earlier line again, as captures repeat
+            pad = ["", "", " ", "\t", " \t"]
+            lines.append(pad[rng.integers(5)] + lines[rng.integers(len(lines))]
+                         + pad[rng.integers(5)])
     ends = rng.choice(["\n", "\r\n"], size=len(lines))
     path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode())
     return path
@@ -275,6 +309,10 @@ class TestMatchesPerFieldReader:
         raw = path.read_bytes()
         assert b"\r\n" in raw and re.search(rb"\n[ \t]+\r?\n", raw)
         assert re.search(rb"\n\r?\n", raw) and b"NORMAL." in raw
+        lines = raw.decode().split("\n")
+        texts = [line.strip() for line in lines if line.strip()]
+        assert len(set(texts)) < len(texts) - 50
+        assert len(set(lines)) > len(set(line.strip() for line in lines)) + 20
         X, y, encoders = reference_parse_encode(path)
         ds = encode(parse_kdd_csv(path))
         assert ds.X.tobytes() == X.tobytes()
@@ -355,18 +393,10 @@ class TestExchangeFile:
         assert p1.read_bytes() == p2.read_bytes()
         assert dataset_hash(p1) == dataset_hash(p2)
 
-    @pytest.mark.parametrize("rows", [0, 1, 7, 60])
-    def test_writes_the_bytes_of_json_dumps(self, tmp_path, rows):
+    @staticmethod
+    def assert_writes_the_oracle(ds, tmp_path):
         """Oracle: write_json of the document with "features" as
-        X.tolist(); -0.0 and 0.0 share a value but not a bit pattern."""
-        values = [-0.0, 0.0, 0.1, 1e16, 5e-324, 1e-7, 2.0 ** 63,
-                  123456789012345678.0, 0.1 + 0.2, -7.0]
-        rng = np.random.default_rng(rows)
-        ds = EncodedDataset(
-            X=rng.choice(values, size=(rows, 5)),
-            y=rng.integers(0, N_CLASSES, rows), feature_names=list("abcde"),
-            # symbols named like top-level keys do not move the splice
-            encoders={"service": {"features": 0, "format": 1}})
+        X.tolist()."""
         path, oracle = tmp_path / "d.json", tmp_path / "oracle.json"
         save_dataset(ds, path)
         write_json({"format": DATASET_FORMAT,
@@ -377,6 +407,39 @@ class TestExchangeFile:
                    oracle)
         assert path.read_bytes() == oracle.read_bytes()
         assert load_dataset(path).X.tobytes() == ds.X.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 60])
+    def test_writes_the_bytes_of_json_dumps(self, tmp_path, rows):
+        """-0.0 and 0.0 share a value but not a bit pattern."""
+        values = [-0.0, 0.0, 0.1, 1e16, 5e-324, 1e-7, 2.0 ** 63,
+                  123456789012345678.0, 0.1 + 0.2, -7.0]
+        rng = np.random.default_rng(rows)
+        self.assert_writes_the_oracle(EncodedDataset(
+            X=rng.choice(values, size=(rows, 5)),
+            y=rng.integers(0, N_CLASSES, rows), feature_names=list("abcde"),
+            # symbols named like top-level keys do not move the splice
+            encoders={"service": {"features": 0, "format": 1}}), tmp_path)
+
+    @pytest.mark.parametrize("X,y", [
+        # mostly duplicate rows
+        (np.repeat([[0.1, 2.0], [0.1 + 0.2, 0.0], [3.0, 5e-324]],
+                   [40, 3, 17], axis=0)[np.random.default_rng(0).permutation(
+                       60)], np.zeros(60, dtype=int)),
+        # rows equal in value, not in bits
+        ([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, 0.0]], [1, 1, 1, 1]),
+        # equal features, other labels
+        ([[1.5, 2.0]] * 4, [0, 3, 0, 4]),
+        # no feature columns
+        (np.empty((3, 0)), [0, 2, 2]),
+    ], ids=["duplicates", "signed-zeros", "labels-differ", "no-columns"])
+    def test_writes_the_bytes_of_json_dumps_per_distinct_row(self, tmp_path,
+                                                            X, y):
+        ds = EncodedDataset(X=X, y=y, encoders={},
+                            feature_names=[f"f{j}" for j in
+                                           range(np.shape(X)[1])])
+        self.assert_writes_the_oracle(ds, tmp_path)
+        if not ds.n_features:
+            assert '"features":[[],[],[]]' in (tmp_path / "d.json").read_text()
 
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
         path = tmp_path / "d.json"
