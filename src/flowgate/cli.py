@@ -50,7 +50,7 @@ def _config_hash(doc) -> str:
 def _load_json(path, what, error=ConfigError):
     _require_file(path, what)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -338,7 +338,7 @@ def save_dataset(ds: EncodedDataset, path) -> None:
 
 
 def load_dataset(path) -> EncodedDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if doc.get("format") != DATASET_FORMAT:
         raise ValueError(f"{path}: not a flowgate dataset file")

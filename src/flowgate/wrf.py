@@ -133,8 +133,8 @@ def route(table: NodeTable, X) -> np.ndarray:
     return table.label[leaf].reshape(table.root.size, n)
 
 
-# most (column, position) cells one pass scores at once: bounds the
-# temporaries at the root, while a deep pass scores all its columns at once
+# most positions, over the (column, node) cells a depth scores, that one
+# chunk holds, unless one cell alone holds more: bounds the temporaries
 SPLIT_CHUNK = 1 << 15
 # most (tree, row) pairs predict_batch routes at once
 ROUTE_CHUNK = 1 << 15
@@ -151,9 +151,12 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     every column's row order, and a split partitions that segment stably,
     so both children stay sorted. Thresholds are midpoints between adjacent
     distinct values; ties go to the lowest column, then lowest threshold.
-    A tree of every column grows a depth per pass, scoring and splitting all
-    its nodes at once, and numbers them in pre-order at the end; one that
-    draws columns grows a node per pass in pre-order, its draws' order.
+    The tree grows a depth per pass, scoring and splitting all its nodes at
+    once, and numbers them in pre-order at the end. With max_features
+    "sqrt" and mtry = ceil(sqrt(d)) < d, each depth's nodes to split, in
+    level order (their parents' order, left child first), take d uniforms
+    each from one rng.random call, and a node scores the columns of its
+    mtry smallest; a tree of every column draws nothing from rng.
     """
     XT = np.asarray(X, dtype=np.float64).T.copy()
     y = np.asarray(y, dtype=np.int64)
@@ -172,53 +175,6 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
     codes, unpack = _class_codes(y, count)
     go_left = np.zeros(y.size, dtype=bool)
-    if mtry < d:
-        nodes = []  # [feature, threshold, label, right, left] per node
-        # popped left child first; a right child sets its parent's right
-        stack = [(0, y.size, 0, -1)]
-        while stack:
-            lo, hi, depth, parent = stack.pop()
-            i = len(nodes)
-            if parent >= 0:
-                nodes[parent][3] = i
-            seg = order[:, lo:hi]
-            counts = unpack(codes[:, seg[0]].sum(axis=1)[:, None])[:, 0]
-            n = int(counts.sum())
-            nodes.append([0, 0.0, int(np.argmax(counts)), i, i])  # a leaf
-            if depth >= cfg.max_depth or n < 2 * leaf or counts.max() == n:
-                continue
-            cols = np.sort(rng.choice(d, size=mtry, replace=False))
-            parent_gini = 1.0 - np.sum((counts / n) ** 2)
-            best, c, thr = 0.0, None, None
-            step = max(1, SPLIT_CHUNK // (hi - lo))
-            for cs in np.split(cols, range(step, mtry, step)):
-                rows = seg[cs]
-                xs = XT[cs[:, None], rows]
-                # cuts between distinct values, as flat positions in xs
-                cut = np.zeros(xs.shape, dtype=bool)
-                np.less(xs[:, :-1], xs[:, 1:], out=cut[:, :-1])
-                at = np.flatnonzero(cut)
-                lc = unpack(np.take(np.cumsum(codes[:, rows], axis=2).reshape(
-                    codes.shape[0], -1), at, axis=1))
-                decrease = _gini_decrease(lc, counts[:, None] - lc, n,
-                                          parent_gini, leaf)
-                k = int(np.argmax(decrease)) if at.size else 0
-                if at.size and decrease[k] > best:
-                    best, c = decrease[k], cs[at[k] // (hi - lo)]
-                    thr = (xs.flat[at[k]] + xs.flat[at[k] + 1]) / 2.0
-            if c is None:
-                continue
-            go_left[seg[c]] = XT[c, seg[c]] <= thr
-            mark = go_left[seg]
-            mid = lo + int(np.count_nonzero(mark[0]))
-            order[:, lo:hi] = np.concatenate(
-                (seg[mark].reshape(d, -1), seg[~mark].reshape(d, -1)), axis=1)
-            nodes[i] = [int(feature_ids[c]), float(thr), -1, -1, i + 1]
-            stack.append((mid, hi, depth + 1, i))
-            stack.append((lo, mid, depth + 1, -1))
-        feature, threshold, label, *kids = map(np.array, zip(*nodes))
-        return DecisionTree(feature, threshold, label,
-                            np.stack(kids, 1).ravel())
     # one pass per depth over its nodes: their segments [lo, hi), class
     # counts and parents; below the root they come in pairs, left first
     lo, hi = np.zeros(1, np.int64), np.full(1, y.size)
@@ -231,8 +187,12 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
         live = np.flatnonzero((n >= 2 * leaf) & (counts.max(axis=1) < n))
         if len(done) > cfg.max_depth or not live.size:
             break
+        drawn = np.full((d, live.size), mtry == d)  # (column, node) cells
+        if mtry < d:
+            pick = np.argsort(rng.random((live.size, d)), axis=1, kind="stable")
+            drawn[pick[:, :mtry], np.arange(live.size)[:, None]] = True
         c, thr = _best_cuts(XT, order, codes, unpack, lo[live], hi[live],
-                            counts[live], leaf)
+                            counts[live], drawn, leaf)
         split, c, thr = live[c >= 0], c[c >= 0], thr[c >= 0]
         label[split], feature[split] = -1, feature_ids[c]
         threshold[split] = thr
@@ -295,37 +255,41 @@ def _spans(lo, hi):
     return np.repeat(lo + size - np.cumsum(size), size) + np.arange(size.sum())
 
 
-def _best_cuts(XT, order, codes, unpack, lo, hi, counts, leaf):
-    """(column, threshold) of each node's best cut over every column, column
-    -1 where none lowers its Gini impurity; node i owns [lo_i, hi_i) of each
-    column's order and holds counts[i]. A chunk scores at most SPLIT_CHUNK
-    cells of all nodes; a later one replaces a node's best only by beating
-    it."""
+def _best_cuts(XT, order, codes, unpack, lo, hi, counts, drawn, leaf):
+    """(column, threshold) of each node's best cut over the columns drawn
+    for it, column -1 where none lowers its Gini impurity; node i owns
+    [lo_i, hi_i) of each column's order, holds counts[i] and scores column
+    c where drawn[c, i]. The drawn (column, node) cells go in column-major
+    order, a chunk of them at most SPLIT_CHUNK positions or one cell; a
+    later chunk replaces a node's best only by beating it."""
     n = counts.sum(axis=1)
     parent_gini = 1.0 - np.sum((counts / n[:, None]) ** 2, axis=1)
-    size = hi - lo
-    pos = _spans(lo, hi)
-    start = np.cumsum(size) - size  # each node's first position in pos
-    owner = np.repeat(np.arange(lo.size), size)
-    inside = owner[:-1] == owner[1:]
+    cell_col, cell_node = np.nonzero(drawn)
+    cell_size = (hi - lo)[cell_node]
+    cell_end = np.cumsum(cell_size)
+    width = order.shape[1]
+    flat_order, flat_x = order.ravel(), XT.ravel()
     best, col, thr = np.zeros(lo.size), np.full(lo.size, -1), np.zeros(lo.size)
-    step = max(1, SPLIT_CHUNK // pos.size)
-    for cs in np.split(np.arange(XT.shape[0]), range(step, XT.shape[0], step)):
-        rows = order[cs[:, None], pos]
-        xs = XT[cs[:, None], rows]
-        # cuts between distinct values of a segment, as (column, position)
-        cut = np.zeros(xs.shape, dtype=bool)
-        np.less(xs[:, :-1], xs[:, 1:], out=cut[:, :-1])
-        cut[:, :-1] &= inside
-        k, p = np.nonzero(cut)
-        node = owner[p]
-        # packed class counts before each position, a column per row of cum
-        cum = np.zeros((codes.shape[0], cs.size, pos.size + 1), np.int64)
-        np.cumsum(codes[:, rows], axis=2, out=cum[:, :, 1:])
-        cum = cum.reshape(codes.shape[0], -1)
-        at = k * (pos.size + 1)
-        lc = unpack(np.take(cum, at + p + 1, axis=1)
-                    - np.take(cum, at + start[node], axis=1))
+    a = 0
+    while a < cell_node.size:
+        b = max(a + 1, int(np.searchsorted(
+            cell_end, cell_end[a] - cell_size[a] + SPLIT_CHUNK, "right")))
+        size, node = cell_size[a:b], cell_node[a:b]
+        at = np.repeat(cell_col[a:b] * width, size)
+        rows = flat_order[at + _spans(lo[node], hi[node])]
+        xs = flat_x[at + rows]
+        start = np.cumsum(size) - size  # each cell's first position in rows
+        # cuts between distinct values of a cell, as positions in rows
+        cut = np.zeros(xs.size, dtype=bool)
+        np.less(xs[:-1], xs[1:], out=cut[:-1])
+        cut[start[1:] - 1] = False
+        p = np.flatnonzero(cut)
+        cell = np.searchsorted(start, p, "right") - 1
+        # packed class counts before each position
+        cum = np.zeros((codes.shape[0], xs.size + 1), np.int64)
+        np.cumsum(codes[:, rows], axis=1, out=cum[:, 1:])
+        lc = unpack(cum[:, p + 1] - cum[:, start[cell]])
+        node = node[cell]
         decrease = _gini_decrease(lc, np.take(counts.T, node, axis=1) - lc,
                                   n[node], parent_gini[node], leaf)
         # the first cut, in (column, position) order, of each node's largest
@@ -334,9 +298,10 @@ def _best_cuts(XT, order, codes, unpack, lo, hi, counts, leaf):
         np.maximum.at(top, node, decrease)
         hit = np.flatnonzero((decrease == top[node]) & (top > best)[node])
         new, first = np.unique(node[hit], return_index=True)
-        k, p = k[hit[first]], p[hit[first]]
-        best[new], col[new] = top[new], cs[k]
-        thr[new] = (xs[k, p] + xs[k, p + 1]) / 2.0
+        k = hit[first]  # the first hit of each node in new
+        best[new], col[new] = top[new], cell_col[a + cell[k]]
+        thr[new] = (xs[p[k]] + xs[p[k] + 1]) / 2.0
+        a = b
     return col, thr
 
 

@@ -239,6 +239,29 @@ def test_train_rejects_foreign_mask_file(pipeline_run, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("marked", ["config", "data"])
+def test_train_reads_json_with_a_byte_order_mark(pipeline_run, tmp_path,
+                                                 marked):
+    # editors that save "UTF-8 with BOM" begin the file with U+FEFF
+    out, _ = pipeline_run
+    (tmp_path / "rf.json").write_text(json.dumps(RF_DOC))
+    files = {"data": out / "train.json", "config": tmp_path / "rf.json"}
+
+    def train(model):
+        return main(["train", "--data", str(files["data"]),
+                     "--mask", str(out / "mask.json"),
+                     "--config", str(files["config"]), "--seed", "0",
+                     "--out", str(tmp_path / model)])
+
+    assert train("plain.json") == 0
+    with_mark = tmp_path / f"marked-{files[marked].name}"
+    with_mark.write_bytes(b"\xef\xbb\xbf" + files[marked].read_bytes())
+    files[marked] = with_mark
+    assert train("marked.json") == 0
+    assert (tmp_path / "plain.json").read_bytes() == \
+        (tmp_path / "marked.json").read_bytes()
+
+
 def _trees(doc):
     """A model's trees, each a dict of its node arrays, kids tree-local."""
     t = doc["trees"]

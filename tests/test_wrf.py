@@ -166,7 +166,10 @@ class TestTrainTree:
 
 def reference_tree(X, y, feature_ids, cfg, rng):
     """The per-node learner train_tree replaced: every node argsorts each
-    candidate column of its own rows. The oracle for exactness."""
+    candidate column of its own rows. The oracle for exactness. It grows
+    depth by depth; with mtry < d, each depth's nodes to split, in level
+    order, take d uniforms each from one rng.random call, and a node tries
+    the columns of its mtry smallest."""
     def best_split(X, y, cols):
         n = y.size
         parent_counts = np.bincount(y, minlength=5).astype(np.float64)
@@ -202,24 +205,34 @@ def reference_tree(X, y, feature_ids, cfg, rng):
 
     d = X.shape[1]
     mtry = math.ceil(math.sqrt(d)) if cfg.max_features == "sqrt" else d
-
-    def grow(idx, depth):
-        ysub = y[idx]
-        if (depth >= cfg.max_depth or idx.size < 2 * cfg.min_samples_leaf
-                or np.all(ysub == ysub[0])):
-            return leaf(ysub)
-        cols = np.sort(rng.choice(d, size=mtry, replace=False)) \
-            if mtry < d else np.arange(d)
-        split = best_split(X[idx], ysub, cols)
-        if split is None:
-            return leaf(ysub)
-        _, c, thr = split
-        go_left = X[idx, c] <= thr
-        return {"feature": int(feature_ids[c]), "threshold": float(thr),
-                "left": grow(idx[go_left], depth + 1),
-                "right": grow(idx[~go_left], depth + 1)}
-
-    return grow(np.arange(y.size), 0)
+    root = {}
+    level = [(root, np.arange(y.size))]  # parents' order, left child first
+    for depth in range(cfg.max_depth + 1):  # all leaves at max_depth
+        grow = []
+        for node, idx in level:
+            ysub = y[idx]
+            if (depth >= cfg.max_depth or idx.size < 2 * cfg.min_samples_leaf
+                    or np.all(ysub == ysub[0])):
+                node.update(leaf(ysub))
+            else:
+                grow.append((node, idx))
+        if not grow:
+            return root
+        draws = rng.random((len(grow), d)) if mtry < d else None
+        level = []
+        for i, (node, idx) in enumerate(grow):
+            cols = np.arange(d) if draws is None else \
+                np.sort(np.argsort(draws[i], kind="stable")[:mtry])
+            split = best_split(X[idx], y[idx], cols)
+            if split is None:
+                node.update(leaf(y[idx]))
+                continue
+            _, c, thr = split
+            go_left = X[idx, c] <= thr
+            node.update(feature=int(feature_ids[c]), threshold=float(thr),
+                        left={}, right={})
+            level += [(node["left"], idx[go_left]),
+                      (node["right"], idx[~go_left])]
 
 
 def flatten(node):
@@ -321,11 +334,13 @@ def counted_cases():
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
 @pytest.mark.parametrize("max_depth", [1, 20])
 @pytest.mark.parametrize("max_features", [None, "sqrt"])
-@pytest.mark.parametrize("chunk", [wrf.SPLIT_CHUNK, 1])
+@pytest.mark.parametrize("chunk", [wrf.SPLIT_CHUNK, 7, 1])
 def test_train_tree_matches_per_node_reference(min_leaf, max_depth,
                                                max_features, chunk,
                                                monkeypatch):
-    # chunk 1 scores one column at a time, so ties cross chunk boundaries
+    # chunk 1 scores one (column, node) cell at a time, so ties cross chunk
+    # boundaries; chunk 7 puts cells of different nodes in one chunk and
+    # splits a depth's cells across chunks
     monkeypatch.setattr(wrf, "SPLIT_CHUNK", chunk)
     cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf,
                      max_features=max_features)
@@ -346,6 +361,24 @@ def test_train_tree_matches_per_node_reference(min_leaf, max_depth,
                           np.ones(y.size, dtype=np.int64))
         assert same_tree(ones, train_tree(X, y, ids, cfg,
                                           np.random.default_rng(i)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 6])
+def test_every_column_tree_draws_nothing(d):
+    # ceil(sqrt(d)) == d over 1 or 2 columns, so "sqrt" scores every column
+    # too: the bat's probes and the default forest never advance rng
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 4, size=(200, d)).astype(float)
+    y = (X.sum(axis=1) + rng.integers(0, 2, 200)).astype(int) % 5
+    ids = np.arange(d)
+    state = rng.bit_generator.state
+    every = train_tree(X, y, ids, TreeConfig(), rng)
+    assert every.node_count() > 1
+    assert rng.bit_generator.state == state
+    if d <= 2:
+        assert same_tree(train_tree(X, y, ids, TreeConfig(max_features="sqrt"),
+                                    rng), every)
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("count", [[1, 0, 2], [1, -1, 2], [1, 2],
@@ -743,8 +776,8 @@ class TestFitAndPredict:
          "742cdd62c871dc0237daa33b9f1f082a0dfccb2181ea32c0cd3ea16a20925350"),
         (ForestConfig.baseline(n_trees=8,
                                tree=TreeConfig(max_features="sqrt")),
-         "c5691cacbc9b78d1a4dc06b4bb45fc06c6398152e0e68d47b8e10f0a73d1fa27",
-         "1b8a44afa013957753903b4453856f7ae16667c80b529695f7715b7666dc0877"),
+         "0cc51a93735c00ae2151a063cc664773f54ee2ce4423398b59d30a9fa403b064",
+         "9879bcceb5bd57a8c3f2118f63cdf790e222023eb4f010171f2e361e58d4164a"),
     ], ids=["weighted", "sqrt-baseline"])
     def test_golden_fit(self, cfg, nodes_sha, preds_sha):
         """Recorded forests on a fixed set: the class priors and the weight
