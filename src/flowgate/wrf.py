@@ -22,7 +22,8 @@ import numpy as np
 from .dataset import (N_CLASSES, EncodedDataset, check_doc, distinct_rows,
                       field_types, fits, write_json)
 
-MODEL_FORMAT = "flowgate-model-v4"
+MODEL_FORMAT = "flowgate-model-v5"
+MODEL_TREES = ("label", "feature", "threshold", "root")
 
 # class priors stated for the five-class split: Normal, Probe, DoS, U2R, R2L
 DEFAULT_CLASS_WEIGHTS = (0.3, 0.15, 0.35, 0.05, 0.15)
@@ -405,7 +406,7 @@ class Forest:
     mask: np.ndarray             # feature mask the forest was trained under
     config: ForestConfig
     weight_history: list | None = None  # populated when fit records weights
-    # every tree in one table, stacked on first use: see predict_batch
+    # every tree in one table, by load_forest or on first use: predict_batch
     table: NodeTable | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -570,72 +571,78 @@ def config_from_doc(doc: dict) -> ForestConfig:
     return cfg
 
 
-def _checked_trees(doc, n_trees, features) -> list:
-    """The trees of a model file's "trees" object: the NodeTable arrays, of
-    integers but for the finite float thresholds, root the start of each
-    of the n_trees trees and kids tree-local. ValueError unless each node
-    of a tree is a leaf or a split with two later nodes of the tree as
-    children, each node but the root is the child of exactly one node, each
-    split has label -1 and a feature in features and each leaf has feature
-    0, threshold 0.0 and a class code as label. OverflowError for an
-    integer beyond 64 bits."""
-    if not (isinstance(doc, dict) and doc.keys() == set(NodeTable._fields)
-            and all(isinstance(a, list) and set(map(type, a))
-                    == {float if k == "threshold" else int}
-                    for k, a in doc.items())):
-        raise ValueError(f"trees must hold the arrays {NodeTable._fields}, "
-                         f"non-empty, of integers, threshold of floats")
-    root, feature, threshold, label, kids = (
+def _checked_trees(doc, n_trees, features):
+    """(table, trees) of a model file's "trees" object, the trees views into
+    the table. label has an entry per node, each tree's nodes in pre-order,
+    -1 for a split or a leaf's class code; feature and threshold one per
+    split; root the start of each of the n_trees trees. Over a tree the
+    running sum of +1 per split and -1 per leaf stays >= 0 until its last
+    node, where it is -1. Split i's left child is i + 1, its right child the
+    first later node with i's sum before it. ValueError for any other fault
+    or a feature not in features, OverflowError for an int beyond 64 bits."""
+    if not (isinstance(doc, dict) and doc.keys() == set(MODEL_TREES)
+            and all(isinstance(doc[k], list) and set(map(type, doc[k]))
+                    <= {float if k == "threshold" else int} for k in doc)
+            and doc["label"] and doc["root"] and len(doc["feature"])
+            == len(doc["threshold"]) == doc["label"].count(-1)):
+        raise ValueError(f"trees must hold the arrays {MODEL_TREES}, of "
+                         f"integers, threshold of floats, label and root "
+                         f"non-empty, feature and threshold one per split")
+    label, feature, threshold, root = (
         np.array(doc[k], np.float64 if k == "threshold" else np.int64)
-        for k in NodeTable._fields)
-    n = label.size
+        for k in MODEL_TREES)
+    n, node = label.size, np.arange(label.size)
     size = np.diff(root, append=n)
-    if not (root.size == n_trees and root[0] == 0 and size.min() > 0
-            and feature.size == threshold.size == n and kids.size == 2 * n):
+    if not (root.size == n_trees and root[0] == 0 and size.min() > 0):
         raise ValueError(f"expected root to start config n_trees {n_trees} "
-                         f"trees, from 0 up, and node arrays of one length, "
-                         f"kids twice it; got {root.size} trees")
-    start = np.repeat(root, size)
-    node = np.arange(n) - start  # each node's index in its tree
-    pair = kids.reshape(-1, 2)
-    leaf = np.all(pair == node[:, None], axis=1)
-
-    def check(bad, what):  # bad: a flag per node
+                         f"trees, from 0 up, none empty; got {root.size}")
+    split = label == -1
+    step = np.where(split, 1, -1)
+    before = np.cumsum(step) - step  # the running sum before each node
+    total = before + step - np.repeat(before[root], size)  # over its tree
+    feat, thr = np.zeros_like(label), np.zeros(n)
+    feat[split], thr[split] = feature, threshold
+    # steps of +-1: the sum is -1 at a tree's last node and >= 0 before iff
+    # the last node is the only one where it is < 0
+    for bad, what in (
+            ((total < 0) != (node == np.repeat(root + size - 1, size)),
+             "the running sum of +1 per split and -1 per leaf is not >= 0 "
+             "before its last node and -1 at it"),
+            ((label < -1) | (label >= N_CLASSES) | ~np.isfinite(thr)
+             | split & ~np.isin(feat, features), "a label not -1 or a class "
+             "code, a threshold not finite or a split feature outside the "
+             "mask")):
         if bad.any():
             m = np.searchsorted(root, np.argmax(bad), side="right") - 1
             raise ValueError(f"tree {m}: {what}")
-
-    check(~leaf & ((pair.min(axis=1) <= node)
-                   | (pair.max(axis=1) >= np.repeat(size, size))),
-          "a child is not a later node of its tree")
-    check(np.bincount(np.append((pair + start[:, None])[~leaf], root),
-                      minlength=n) != 1,
-          "a node is not the child of exactly one node")
-    check(~np.isfinite(threshold) | np.where(
-        leaf, (feature != 0) | (threshold != 0) | (label < 0)
-        | (label >= N_CLASSES), ~np.isin(feature, features) | (label != -1)),
-        "a threshold not finite, a split feature outside the mask or label "
-        "not -1, or a leaf feature or threshold not 0 or label not a class "
-        "code")
-    return [DecisionTree(feature[a:b], threshold[a:b], label[a:b],
-                         kids[2 * a:2 * b])
-            for a, b in zip(root, root + size)]
+    order = np.argsort(before, kind="stable")
+    right = np.empty_like(label)
+    right[order[:-1]] = order[1:]  # the next node of the same sum before it
+    # right child, then left: a leaf is both its children
+    kids = np.where(split, np.stack((right, node + 1)), node).T.ravel()
+    local = kids - np.repeat(root, 2 * size)
+    return (NodeTable(root, feat, thr, label, kids),
+            [DecisionTree(feat[a:b], thr[a:b], label[a:b], local[2 * a:2 * b])
+             for a, b in zip(root.tolist(), (root + size).tolist())])
 
 
 def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
-    """Persist the model as self-describing JSON; loading reproduces
-    bit-identical predictions."""
+    """Persist the model as self-describing JSON, each tree as its
+    pre-order labels and its splits' features and thresholds; loading
+    reproduces bit-identical predictions."""
     config = asdict(forest.config)
     config.update(config.pop("tree"))
-    size = [t.node_count() for t in forest.trees]
-    trees = {k: np.concatenate(a).tolist()
-             for k, a in zip(DecisionTree._fields, zip(*forest.trees))}
+    table = stack_trees(forest.trees)
+    split = table.label == -1
     doc = {
         "format": MODEL_FORMAT,
         "mask": forest.mask.tolist(),
         "accuracy_matrix": forest.accuracy_matrix.tolist(),
         "config": config,
-        "trees": dict(trees, root=(np.cumsum(size) - size).tolist()),
+        "trees": {"label": table.label.tolist(),
+                  "feature": table.feature[split].tolist(),
+                  "threshold": table.threshold[split].tolist(),
+                  "root": table.root.tolist()},
     }
     if extra:
         doc.update(extra)
@@ -643,8 +650,9 @@ def save_forest(forest: Forest, path, extra: dict | None = None) -> None:
 
 
 def load_forest(path) -> Forest:
-    """Load a model file; ValueError if any part of it is malformed."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Load a model file, its table stacked; ValueError if any part of it
+    is malformed."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a flowgate model file: format "
@@ -654,14 +662,16 @@ def load_forest(path) -> Forest:
     if not (fits(mask, tuple[int, ...]) and set(mask) <= {0, 1}):
         raise ValueError(f"{path}: mask must be an array of 0s and 1s")
     mask = np.array(mask, dtype=np.uint8)
-    trees = _checked_trees(doc["trees"], config["n_trees"],
-                           np.flatnonzero(mask))
+    table, trees = _checked_trees(doc["trees"], config["n_trees"],
+                                  np.flatnonzero(mask))
     acc = doc["accuracy_matrix"]
-    if not (fits(acc, tuple[tuple[float, ...], ...]) and len(acc) == N_CLASSES
-            and all(len(row) == len(trees) and all(0 <= v <= 1 for v in row)
-                    for row in acc)):
+    if not (isinstance(acc, list) and len(acc) == N_CLASSES
+            and all(isinstance(row, list) and len(row) == len(trees)
+                    for row in acc)
+            and {type(v) for row in acc for v in row} <= {int, float}
+            and 0 <= (acc := np.array(acc, np.float64)).min()
+            and acc.max() <= 1):
         raise ValueError(f"accuracy_matrix must be {N_CLASSES} rows of "
                          f"{len(trees)} numbers in [0, 1]")
-    return Forest(trees=trees,
-                  accuracy_matrix=np.array(acc, dtype=np.float64), mask=mask,
-                  config=config_from_doc(config))
+    return Forest(trees=trees, accuracy_matrix=acc, mask=mask,
+                  config=config_from_doc(config), table=table)

@@ -262,40 +262,64 @@ def test_train_reads_json_with_a_byte_order_mark(pipeline_run, tmp_path,
         (tmp_path / "marked.json").read_bytes()
 
 
+def test_evaluate_reads_a_model_with_a_byte_order_mark(pipeline_run,
+                                                       tmp_path):
+    out, _ = pipeline_run
+    marked = tmp_path / "marked-model.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + (out / "model.json").read_bytes())
+    for model, report in ((out / "model.json", "plain.json"),
+                          (marked, "marked.json")):
+        assert main(["evaluate", "--model", str(model),
+                     "--data", str(out / "test.json"),
+                     "--out", str(tmp_path / report)]) == 0
+    assert (tmp_path / "plain.json").read_bytes() == \
+        (tmp_path / "marked.json").read_bytes()
+
+
 def _trees(doc):
-    """A model's trees, each a dict of its node arrays, kids tree-local."""
+    """A model's trees, each a dict of its per-node arrays: label, and
+    feature and threshold with None at a leaf."""
     t = doc["trees"]
     ends = t["root"][1:] + [len(t["label"])]
-    return [{k: t[k][2 * a:2 * b] if k == "kids" else t[k][a:b]
-             for k in ("feature", "threshold", "label", "kids")}
-            for a, b in zip(t["root"], ends)]
+    splits = iter(zip(t["feature"], t["threshold"]))
+    trees = []
+    for a, b in zip(t["root"], ends):
+        pairs = [next(splits) if v == -1 else (None, None)
+                 for v in t["label"][a:b]]
+        trees.append({"label": t["label"][a:b],
+                      "feature": [f for f, _ in pairs],
+                      "threshold": [h for _, h in pairs]})
+    return trees
 
 
 def _set_trees(doc, trees):
     """A model's trees replaced by trees as _trees gives them."""
-    doc["trees"] = {k: [v for t in trees for v in t[k]] for k in trees[0]}
+    doc["trees"] = {k: [v for t in trees for v in t[k] if v is not None]
+                    for k in ("label", "feature", "threshold")}
     doc["trees"]["root"] = [sum(len(t["label"]) for t in trees[:m])
                             for m in range(len(trees))]
 
 
 def _first_leaf(tree):
-    # a leaf is its own child; a split's children are later nodes
-    return next(i for i in range(len(tree["label"])) if tree["kids"][2 * i]
-                == i)
+    return next(i for i, v in enumerate(tree["label"]) if v != -1)
+
+
+def _edit_tree(edit, tree_index=0):
+    """A model payload: edit(tree, doc) on one tree as _trees gives it."""
+    def payload(doc):
+        trees = _trees(doc)
+        assert trees[tree_index]["label"][0] == -1, "the root must be a split"
+        edit(trees[tree_index], doc)
+        _set_trees(doc, trees)
+    return payload
 
 
 def _set_node(key, at, value, tree_index=0):
-    """A model payload: value into array key of the given tree at index at,
-    a node's index or, for kids, 2 * node for its right child and
-    2 * node + 1 for its left; at and value may be functions of the tree."""
-    def payload(doc):
-        trees = _trees(doc)
-        tree = trees[tree_index]
-        assert tree["kids"][:2] != [0, 0], "the root must be a split"
-        i = at(tree) if callable(at) else at
-        tree[key][i] = value(tree) if callable(value) else value
-        _set_trees(doc, trees)
-    return payload
+    """A model payload: value into per-node array key of the given tree at
+    node at, which may be a function of the tree."""
+    def edit(tree, doc):
+        tree[key][at(tree) if callable(at) else at] = value
+    return _edit_tree(edit, tree_index)
 
 
 def _unmasked_split(doc, tree_index=0):
@@ -314,26 +338,28 @@ def _three_trees(edit, n_trees=3):
     return payload
 
 
-def _self_child(doc):
-    # in the last tree, node 1's left child becomes node 1 and the root's
-    # left child node 2: every node keeps one parent, but one is not later
-    trees = _trees(doc)
-    kids = trees[-1]["kids"]
-    assert kids[1] == 1 and kids[3] == 2, "nodes 0 and 1 must be splits"
-    kids[1], kids[3] = 2, 1
-    _set_trees(doc, trees)
+def _add_leaf(tree, doc):
+    # the tree closes at its old last node, before the new one
+    tree["label"].append(0)
+    tree["feature"].append(None)
+    tree["threshold"].append(None)
 
 
-def _child_in_next_tree(doc):
-    # tree 0's right child, node 3 of a two-node tree, would be node 1 of
-    # tree 1, which has no parent in tree 1: over the stacked nodes every
-    # node still has one parent
+def _end_in_a_split(tree, doc):
+    # the running sum never reaches -1: the last split has no children
+    tree["label"][-1] = -1
+    tree["feature"][-1] = doc["mask"].index(1)
+    tree["threshold"][-1] = 0.5
+
+
+def _close_in_next_tree(doc):
+    # tree 0, a split and one leaf, closes only with tree 1's root, a leaf:
+    # over the stacked nodes the running sum still closes once per tree
     split = doc["mask"].index(1)
     _set_trees(doc, [
-        {"feature": [split, 0], "threshold": [0.5, 0.0], "label": [-1, 0],
-         "kids": [3, 1, 1, 1]},
-        {"feature": [0, 0], "threshold": [0.0, 0.0], "label": [0, 1],
-         "kids": [0, 0, 1, 1]}] + _trees(doc)[2:])
+        {"label": [-1, 0], "feature": [split, None], "threshold": [0.5, None]},
+        {"label": [1], "feature": [None], "threshold": [None]}]
+        + _trees(doc)[2:])
 
 
 def _relabel(value, code):
@@ -493,8 +519,10 @@ BAD_RF_DOCS = [
                  id="model-leaf-label-7"),
     pytest.param("model", _set_node("label", 0, 3), 3,
                  id="model-split-label-3"),
-    pytest.param("model", _set_node("threshold", _first_leaf, 0.5), 3,
-                 id="model-leaf-threshold-0.5"),
+    pytest.param("model", _set_node("label", _first_leaf, 1.0), 3,
+                 id="model-float-label"),
+    pytest.param("model", _set_node("label", _first_leaf, -2), 3,
+                 id="model-leaf-label-minus-2"),
     pytest.param("model", _unmasked_split, 3, id="model-unmasked-feature"),
     pytest.param("model", lambda d: d.update(format="flowgate-model-v1"), 3,
                  id="model-v1-format"),
@@ -502,18 +530,19 @@ BAD_RF_DOCS = [
                  id="model-v2-format"),
     pytest.param("model", lambda d: d.update(format="flowgate-model-v3"), 3,
                  id="model-v3-format"),
-    pytest.param("model", _set_node("kids", 0, 0), 3,
-                 id="model-child-backwards"),
-    pytest.param("model", _set_node("kids", 0, lambda t: len(t["label"])), 3,
-                 id="model-child-out-of-range"),
-    pytest.param("model", _set_node("kids", 0, 1), 3,
-                 id="model-node-with-two-parents"),
+    pytest.param("model", lambda d: d.update(format="flowgate-model-v4"), 3,
+                 id="model-v4-format"),
+    pytest.param("model", _edit_tree(_add_leaf), 3,
+                 id="model-tree-closes-before-its-last-node"),
+    pytest.param("model", _edit_tree(_end_in_a_split), 3,
+                 id="model-tree-ends-in-a-split"),
     pytest.param("model", lambda d: d["trees"]["threshold"].pop(), 3,
                  id="model-ragged-tree"),
     pytest.param("model", lambda d: d["trees"]["root"].__setitem__(1, 0), 3,
                  id="model-empty-tree"),
-    pytest.param("model", _set_node("feature", _first_leaf, 99), 3,
-                 id="model-leaf-feature-99"),
+    pytest.param("model", lambda d: [d["trees"][k].pop()
+                                     for k in ("feature", "threshold")], 3,
+                 id="model-fewer-features-than-splits"),
     pytest.param("model", _set_node("label", _first_leaf, True), 3,
                  id="model-boolean-label"),
     pytest.param("model", lambda d: d["mask"].__setitem__(0, 256), 3,
@@ -542,12 +571,12 @@ BAD_RF_DOCS = [
         id="model-negative-accuracy"),
     pytest.param("model", _set_node("threshold", 0, float("nan")), 3,
                  id="model-nan-threshold"),
-    pytest.param("model", _set_node("feature", _first_leaf, 2 ** 64), 3,
+    pytest.param("model", _set_node("feature", 0, 2 ** 64), 3,
                  id="model-int-beyond-64-bits"),
-    pytest.param("model", _three_trees(_self_child), 3,
-                 id="model-backwards-child-in-last-tree"),
-    pytest.param("model", _three_trees(_child_in_next_tree), 3,
-                 id="model-child-in-next-tree"),
+    pytest.param("model", _three_trees(_edit_tree(_add_leaf, -1)), 3,
+                 id="model-last-tree-closes-before-its-last-node"),
+    pytest.param("model", _three_trees(_close_in_next_tree), 3,
+                 id="model-first-tree-closes-in-the-next"),
     pytest.param("model", _three_trees(lambda d: _unmasked_split(d, 1)), 3,
                  id="model-unmasked-feature-in-middle-tree"),
     pytest.param("model", _three_trees(lambda d: None), 0,

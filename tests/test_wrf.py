@@ -920,7 +920,58 @@ class TestForestOverCpus:
         assert all(type(e.__cause__) is ValueError for e in errors)
 
 
+def persisted_forest(case):
+    """(forest, rows to predict) of a round-trip test case."""
+    ds = synthetic_dataset([20] * 5, seed=8, n_features=8)
+    mask = np.ones(8, dtype=np.uint8)
+    if case == "chain-at-max-depth":
+        # alternating labels on one column: trees grow until max_depth
+        ds = EncodedDataset(X=np.repeat(np.arange(203.0), 5)[:, None],
+                            y=np.repeat(np.r_[np.arange(200) % 2, 2, 3, 4], 5),
+                            feature_names=["x"], encoders={})
+        mask = np.ones(1, dtype=np.uint8)
+    cfg = {
+        "single-leaves": ForestConfig(
+            n_trees=3, tree=TreeConfig(min_samples_leaf=1000)),
+        "chain-at-max-depth": ForestConfig.baseline(
+            n_trees=2, tree=TreeConfig(max_depth=12, min_samples_leaf=1)),
+        "weighted": ForestConfig(n_trees=5),
+        "sqrt-baseline": ForestConfig.baseline(
+            n_trees=5, tree=TreeConfig(max_features="sqrt")),
+    }[case]
+    return fit(ds, mask, cfg, seed=4), ds.X
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("case", ["single-leaves", "chain-at-max-depth",
+                                      "weighted", "sqrt-baseline"])
+    def test_round_trip_restores_trees_and_table(self, tmp_path, case):
+        forest, X = persisted_forest(case)
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_forest(forest, path)
+        loaded = load_forest(path)
+        stacked = wrf.stack_trees(forest.trees)
+        assert loaded.table is not None
+        for name, a, b in zip(wrf.NodeTable._fields, loaded.table, stacked):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert same_trees(loaded.trees, forest.trees)
+        assert np.array_equal(predict_batch(loaded, X),
+                              predict_batch(forest, X))
+        save_forest(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+        trees = json.loads(path.read_text())["trees"]
+        splits = trees["label"].count(-1)
+        assert len(trees["feature"]) == len(trees["threshold"]) == splits
+        if case == "single-leaves":
+            assert splits == 0 and trees["feature"] == []
+        if case == "chain-at-max-depth":
+            for tree in forest.trees:
+                depth = np.zeros(tree.node_count(), dtype=int)
+                for i, kid in enumerate(tree.kids):
+                    if kid != i // 2:
+                        depth[kid] = depth[i // 2] + 1
+                assert depth.max() == 12
+
     def test_round_trip_identical_predictions(self, tmp_path):
         ds = synthetic_dataset([20] * 5, seed=8, n_features=8)
         mask = np.ones(8, dtype=np.uint8)
@@ -934,15 +985,36 @@ class TestPersistence:
         path2 = tmp_path / "model2.json"
         save_forest(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
-        # nested-dict (v1), per-tree list (v2) and three-weighting-key (v3)
-        # model files are not read
+        # nested-dict (v1), per-tree list (v2), three-weighting-key (v3) and
+        # explicit-children (v4) model files are not read
         doc = json.loads(path.read_text())
         for old in ("flowgate-model-v1", "flowgate-model-v2",
-                    "flowgate-model-v3"):
+                    "flowgate-model-v3", "flowgate-model-v4"):
             doc["format"] = old
             path.write_text(json.dumps(doc))
-            with pytest.raises(ValueError, match=f"{old}.*flowgate-model-v4"):
+            with pytest.raises(ValueError, match=f"{old}.*flowgate-model-v5"):
                 load_forest(path)
+
+    def test_readme_names_the_current_model_format(self, tmp_path):
+        """The README gives wrf.MODEL_FORMAT as the model file's format and
+        every older flowgate-model-vN as refused, and so does load_forest."""
+        current = int(wrf.MODEL_FORMAT.rsplit("v", 1)[1])
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = " ".join(fh.read().split())
+        assert f"A model file (`{wrf.MODEL_FORMAT}`) holds" in text
+        refused = text[text.index("Files in the older formats"):]
+        refused = refused[:refused.index("are not read or converted")]
+        assert wrf.MODEL_FORMAT not in refused
+        for k in range(1, current):
+            assert f"`flowgate-model-v{k}`" in refused
+        assert f"retrain to get a v{current} file" in text
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(
+            {"format": f"flowgate-model-v{current - 1}"}))
+        with pytest.raises(ValueError, match=wrf.MODEL_FORMAT):
+            load_forest(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
