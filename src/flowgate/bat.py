@@ -291,15 +291,22 @@ def wrapper_fitness(mask: np.ndarray, train, valid, eval_seed: int,
                     penalty: float = BatConfig.penalty) -> float:
     """Probe-classifier fitness: validation accuracy of a depth-capped CART
     grown on the distinct rows under the mask, each counted as often as it
-    occurs in train, minus penalty * popcount / d."""
+    occurs in train, minus penalty * popcount / d. Every call on the same
+    train object shares one wrf.SplitMemo, made on the first and kept as
+    train.split_memo: each probe tree scores only the shallow cells that no
+    earlier tree on train scored. train must not change after that call,
+    and calls on it must not run in concurrent threads."""
     mask = wrf.checked_mask(mask, train.n_features)
     if not valid.n_samples:
         raise ValueError("empty validation set")
+    if train.split_memo is None:
+        train.split_memo = wrf.SplitMemo(train.n_features)
     cols = np.flatnonzero(mask)
     X = train.X[:, cols]
     first, group = distinct_rows(X, train.y)
     tree = wrf.train_tree(X[first], train.y[first], cols,
                           wrf.TreeConfig(max_depth=10, max_features=None),
-                          np.random.default_rng(eval_seed), np.bincount(group))
+                          np.random.default_rng(eval_seed), np.bincount(group),
+                          memo=train.split_memo)
     acc = float(np.mean(tree.predict(valid.X) == valid.y))
     return acc - penalty * mask.sum() / mask.size

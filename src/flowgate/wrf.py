@@ -139,10 +139,41 @@ def route(table: NodeTable, X) -> np.ndarray:
 SPLIT_CHUNK = 1 << 15
 # most (tree, row) pairs predict_batch routes at once
 ROUTE_CHUNK = 1 << 15
+# a SplitMemo keeps only nodes shallower than this, where masks share most:
+# over a round of the benchmark's 38 probe trees, the cells no earlier mask
+# scored hold 5-6% of the root's split-search positions, 44-50% at depth 4
+# and 70-81% at depth 9; at the acceptance scale this keeps 2147 nodes
+# (1.9 MB), and no bound 13457 (9.0 MB)
+MEMO_DEPTH = 5
 
 
-def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
-               count=None) -> DecisionTree:
+class SplitMemo:
+    """Split search shared by trees grown on the same rows with the same
+    class counts: each (node, feature) cell's largest Gini decrease and its
+    threshold, scored by the first tree that draws the cell. A cell's cut
+    does not depend on the other columns or on how rows are grouped, so a
+    node is named by min_samples_leaf and its path of (feature id, side)
+    steps from the root, and any tree that reaches it may reuse its cells.
+    Only nodes shallower than MEMO_DEPTH are kept."""
+
+    def __init__(self, n_features):
+        self.rows = {}  # node name -> its row of cells
+        # each row's cells' decrease and threshold, NaN until scored
+        self.cells = np.empty((2, 0, n_features))
+
+    def find(self, names) -> np.ndarray:
+        """The rows of the nodes names, new nodes given rows of NaN."""
+        rows = [self.rows.setdefault(name, len(self.rows)) for name in names]
+        if len(self.rows) > self.cells.shape[1]:
+            grown = np.full((2, 2 * len(self.rows), self.cells.shape[2]),
+                            np.nan)
+            grown[:, :self.cells.shape[1]] = self.cells
+            self.cells = grown
+        return np.array(rows)
+
+
+def train_tree(X, y, feature_ids, cfg: TreeConfig, rng, count=None,
+               memo: SplitMemo | None = None) -> DecisionTree:
     """Grow a CART on (X, y); X columns correspond to feature_ids in the
     original feature space, which is what split nodes record. count, if
     given, is each row's multiplicity: the tree is the one grown on the rows
@@ -158,6 +189,12 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     level order (their parents' order, left child first), take d uniforms
     each from one rng.random call, and a node scores the columns of its
     mtry smallest; a tree of every column draws nothing from rng.
+
+    memo, if given, holds cells only of trees grown on the same rows with
+    the same classes and multiplicities, in the same feature-id space,
+    however their columns were picked and their equal rows grouped. A node
+    scores only the drawn cells memo lacks, and adds them to it; the tree
+    is the one grown without memo.
     """
     XT = np.asarray(X, dtype=np.float64).T.copy()
     y = np.asarray(y, dtype=np.int64)
@@ -181,6 +218,7 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
     lo, hi = np.zeros(1, np.int64), np.full(1, y.size)
     counts, parent = unpack(codes.sum(axis=1)[:, None]).T, lo - 1
     done, made = [], 0  # per depth: parent, label, feature, threshold
+    names = None if memo is None else [(leaf,)]  # memo names of the nodes
     while lo.size:
         n, label = counts.sum(axis=1), counts.argmax(axis=1)
         feature, threshold = np.zeros_like(lo), np.zeros(lo.size)
@@ -192,9 +230,21 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
         if mtry < d:
             pick = np.argsort(rng.random((live.size, d)), axis=1, kind="stable")
             drawn[pick[:, :mtry], np.arange(live.size)[:, None]] = True
-        c, thr = _best_cuts(XT, order, codes, unpack, lo[live], hi[live],
-                            counts[live], drawn, leaf)
-        split, c, thr = live[c >= 0], c[c >= 0], thr[c >= 0]
+        score = drawn
+        if names is not None:  # the memo's (column, node) cells
+            at = (slice(None), memo.find([names[i] for i in live.tolist()]),
+                  feature_ids[:, None])
+            score = drawn & np.isnan(memo.cells[at][0])
+        gain, cut = _best_cuts(XT, order, codes, unpack, lo[live], hi[live],
+                               counts[live], score, leaf)
+        if names is not None:
+            col, node = np.nonzero(score)
+            memo.cells[:, at[1][node], feature_ids[col]] = gain[score], \
+                cut[score]
+            gain, cut = np.where(drawn, memo.cells[at], 0.0)
+        split = np.flatnonzero(gain.max(axis=0) > 0)
+        c = gain[:, split].argmax(axis=0)  # the first column of the best
+        split, thr = live[split], cut[c, split]
         label[split], feature[split] = -1, feature_ids[c]
         threshold[split] = thr
         # split each segment stably, left rows first: all columns hold the
@@ -215,6 +265,10 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng,
         counts = counts.astype(np.int64)
         lo, hi = np.stack((lo, mid), 1).ravel(), np.stack((mid, hi), 1).ravel()
         parent, made = np.repeat(made + split, 2), made + label.size
+        if names is not None:  # a child adds its (feature id, side) step
+            names = None if len(done) >= MEMO_DEPTH else [
+                names[i] + (f, side) for i, f in zip(
+                    split.tolist(), feature_ids[c].tolist()) for side in (0, 1)]
     return _preorder(*map(np.concatenate, zip(*done)))
 
 
@@ -257,12 +311,13 @@ def _spans(lo, hi):
 
 
 def _best_cuts(XT, order, codes, unpack, lo, hi, counts, drawn, leaf):
-    """(column, threshold) of each node's best cut over the columns drawn
-    for it, column -1 where none lowers its Gini impurity; node i owns
-    [lo_i, hi_i) of each column's order, holds counts[i] and scores column
-    c where drawn[c, i]. The drawn (column, node) cells go in column-major
-    order, a chunk of them at most SPLIT_CHUNK positions or one cell; a
-    later chunk replaces a node's best only by beating it."""
+    """(decrease, threshold), each shaped like drawn: the largest Gini
+    decrease of each (column, node) cell's cuts and the threshold of the
+    first cut that makes it, 0.0 for both where no cut lowers the node's
+    impurity or the cell is not drawn. Node i owns [lo_i, hi_i) of each
+    column's order, holds counts[i] and scores column c where drawn[c, i].
+    The drawn cells go in column-major order, a chunk of them at most
+    SPLIT_CHUNK positions or one cell."""
     n = counts.sum(axis=1)
     parent_gini = 1.0 - np.sum((counts / n[:, None]) ** 2, axis=1)
     cell_col, cell_node = np.nonzero(drawn)
@@ -270,7 +325,7 @@ def _best_cuts(XT, order, codes, unpack, lo, hi, counts, drawn, leaf):
     cell_end = np.cumsum(cell_size)
     width = order.shape[1]
     flat_order, flat_x = order.ravel(), XT.ravel()
-    best, col, thr = np.zeros(lo.size), np.full(lo.size, -1), np.zeros(lo.size)
+    best, thr = np.zeros(cell_node.size), np.zeros(cell_node.size)
     a = 0
     while a < cell_node.size:
         b = max(a + 1, int(np.searchsorted(
@@ -293,17 +348,20 @@ def _best_cuts(XT, order, codes, unpack, lo, hi, counts, drawn, leaf):
         node = node[cell]
         decrease = _gini_decrease(lc, np.take(counts.T, node, axis=1) - lc,
                                   n[node], parent_gini[node], leaf)
-        # the first cut, in (column, position) order, of each node's largest
-        # decrease, where that beats the node's best
-        top = np.zeros(lo.size)
-        np.maximum.at(top, node, decrease)
-        hit = np.flatnonzero((decrease == top[node]) & (top > best)[node])
-        new, first = np.unique(node[hit], return_index=True)
-        k = hit[first]  # the first hit of each node in new
-        best[new], col[new] = top[new], cell_col[a + cell[k]]
-        thr[new] = (xs[p[k]] + xs[p[k] + 1]) / 2.0
+        # the first cut, in position order, of each cell's largest decrease
+        top = np.zeros(b - a)
+        np.maximum.at(top, cell, decrease)
+        top_at = top[cell]
+        hit = np.flatnonzero((decrease == top_at) & (top_at > 0))
+        first = np.ones(hit.size, dtype=bool)
+        np.not_equal(cell[hit[1:]], cell[hit[:-1]], out=first[1:])
+        k = hit[first]
+        best[a + cell[k]] = top_at[k]
+        thr[a + cell[k]] = (xs[p[k]] + xs[p[k] + 1]) / 2.0
         a = b
-    return col, thr
+    out = np.zeros((2,) + drawn.shape)
+    out[0, drawn], out[1, drawn] = best, thr  # cells in np.nonzero order
+    return out
 
 
 def _preorder(parent, label, feature, threshold) -> DecisionTree:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from flowgate import wrf
+from flowgate import cli, wrf
 from flowgate.balanced_kmeans import cluster
 from flowgate.bat import (A_0, Bat, BatConfig, acceptance_step,
                           differential_mutation, gated_term, inertia_weight,
@@ -476,9 +476,9 @@ class TestProbeOnDistinctRows:
         train = make(1)
         seen = []
 
-        def spy(X, y, feature_ids, cfg, rng, count=None):
+        def spy(X, y, feature_ids, cfg, rng, count=None, memo=None):
             seen.append((X, y, count))
-            return train_tree(X, y, feature_ids, cfg, rng, count)
+            return train_tree(X, y, feature_ids, cfg, rng, count, memo)
 
         monkeypatch.setattr(wrf, "train_tree", spy)
         wrapper_fitness(MASKS[1], train, train, eval_seed=0)
@@ -486,6 +486,35 @@ class TestProbeOnDistinctRows:
         rows = np.column_stack((X, y))
         assert len(np.unique(rows, axis=0)) == len(rows) == count.size
         assert count.min() >= 1 and count.sum() == train.n_samples
+
+
+class TestProbeSplitMemo:
+    """Probes on one training set share the split memo kept on it."""
+
+    def test_a_fresh_probe_split_starts_empty(self):
+        # as the benchmark's selection check recomputes a mask's fitness
+        ds = binary_flows(1)
+        train, valid = cli.probe_split(ds, 200, 200, seed=3)
+        assert train.split_memo is None
+        scores = [wrapper_fitness(m, train, valid, eval_seed=3) for m in MASKS]
+        memo, kept = train.split_memo, len(train.split_memo.rows)
+        for mask, score in zip(MASKS, scores):
+            again, valid_again = cli.probe_split(ds, 200, 200, seed=3)
+            assert again.split_memo is None
+            assert wrapper_fitness(mask, again, valid_again,
+                                   eval_seed=3) == score
+            assert again.split_memo is not memo
+        assert train.split_memo is memo and len(memo.rows) == kept
+
+    def test_the_dataset_ignores_its_memo(self):
+        train = binary_flows(1)
+        twin = EncodedDataset(train.X, train.y, train.feature_names,
+                              train.encoders)
+        before = repr(train)
+        wrapper_fitness(MASKS[0], train, train, eval_seed=0)
+        assert train.split_memo.rows and twin.split_memo is None
+        assert train == twin and repr(train) == before
+        assert train.take(np.arange(train.n_samples)).split_memo is None
 
 
 def interleaved_run(fitness_fn, d, cfg):

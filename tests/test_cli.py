@@ -13,7 +13,7 @@ from flowgate.cli import main
 from flowgate.dataset import load_dataset
 from flowgate.metrics import KDD99_COST_MATRIX
 from flowgate.wrf import ForestConfig, TreeConfig
-from conftest import make_kdd_line, set_cpus
+from conftest import count_forks, make_kdd_line, set_cpus
 from synth_kdd import write_synthetic_kdd
 
 TRAIN_TARGETS = [400, 80, 700, 8, 60]
@@ -204,6 +204,22 @@ def test_select_features_on_one_cpu_never_forks(pipeline_run, tmp_path,
 
     monkeypatch.setattr(os, "fork", fork)
     assert _select_features(out, tmp_path) == 0
+
+
+
+def test_select_features_writes_the_same_mask_on_one_cpu_and_two(
+        pipeline_run, tmp_path, monkeypatch):
+    # a forked child scores its masks on a copy of the parent's split memo,
+    # and what it adds there never comes back
+    out, _ = pipeline_run
+    masks = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        assert _select_features(out, tmp_path) == 0
+        assert bool(forks) == (cpus == 2)
+        masks.append((tmp_path / "mask.json").read_bytes())
+    assert masks[0] == masks[1]
 
 
 def test_classical_tree_error_in_a_child_is_data_error(

@@ -390,6 +390,75 @@ def test_train_tree_rejects_bad_counts(count):
                    TreeConfig(), np.random.default_rng(0), count)
 
 
+def memo_case(wide):
+    """(X, y, count, masks): 80 rows over 8 columns, tied integer columns,
+    a copy of column 0 and a continuous one, counted 1 to 3 times, or 1000
+    to 3000 times when wide, so that the class fields need a word per
+    class; and 32 masks, repeats among them, as the bat would draw."""
+    rng = np.random.default_rng(23)
+    X = rng.integers(0, 4, size=(80, 8)).astype(float)
+    X[:, 5] = rng.normal(size=80).round(1)
+    X[:, 6] = X[:, 0]
+    y = (X[:, 0] + X[:, 1] * (X[:, 2] > 1) + rng.integers(0, 2, 80)) % 5
+    count = rng.integers(1, 4, 80) * (1000 if wide else 1)
+    masks = rng.random((32, 8)) < 0.6
+    masks[:, 7] |= ~masks.any(axis=1)
+    masks[-4:] = masks[:4]
+    return X, y.astype(np.int64), count, masks
+
+
+def probe_trees(X, y, count, masks, cfg, memo):
+    """The probe's trees, one per mask: on the distinct rows under the
+    mask with their summed counts, with memo."""
+    for i, mask in enumerate(masks):
+        cols = np.flatnonzero(mask)
+        first, group = distinct_rows(X[:, cols], y)
+        yield train_tree(X[first][:, cols], y[first], cols, cfg,
+                         np.random.default_rng(i),
+                         np.bincount(group, count).astype(np.int64), memo)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["one-word", "wide"])
+@pytest.mark.parametrize("chunk", [wrf.SPLIT_CHUNK, 7, 1])
+def test_a_shared_split_memo_leaves_every_tree_as_it_is(chunk, wide,
+                                                         monkeypatch):
+    # one memo serves every mask, min_samples_leaf and max_features, as the
+    # bat's probe trees share one per probe training set; the memo-free
+    # trees grow at the default SPLIT_CHUNK, the shared ones at chunk
+    X, y, count, masks = memo_case(wide)
+    assert wrf._class_codes(y, count)[0].shape[0] == (5 if wide else 1)
+    cfgs = [TreeConfig(min_samples_leaf=leaf, max_features=mf)
+            for leaf in (1, 3) for mf in (None, "sqrt")]
+    scored, best_cuts = [], wrf._best_cuts
+
+    def counting(*args):  # the cells each call scores
+        scored.append(int(args[7].sum()))
+        return best_cuts(*args)
+
+    monkeypatch.setattr(wrf, "_best_cuts", counting)
+    plain, alone = [], []
+    for cfg in cfgs:
+        plain.append(list(probe_trees(X, y, count, masks, cfg, None)))
+        alone.append(sum(scored))
+        scored.clear()
+    # the comparison can see a wrong memo: one filled on the same rows with
+    # other labels changes some tree
+    other = wrf.SplitMemo(X.shape[1])
+    list(probe_trees(X, np.roll(y, 1), count, masks, cfgs[0], other))
+    assert not all(map(same_tree, plain[0],
+                       probe_trees(X, y, count, masks, cfgs[0], other)))
+    monkeypatch.setattr(wrf, "SPLIT_CHUNK", chunk)
+    memo = wrf.SplitMemo(X.shape[1])
+    for cfg, trees, cells in zip(cfgs, plain, alone):
+        scored.clear()
+        for i, (a, b) in enumerate(zip(trees, probe_trees(
+                X, y, count, masks, cfg, memo))):
+            assert same_tree(a, b), f"{cfg}, mask {i}"
+        assert sum(scored) < cells
+    # a path of MEMO_DEPTH - 1 steps after min_samples_leaf: no deeper node
+    assert max(map(len, memo.rows)) == 2 * wrf.MEMO_DEPTH - 1
+
+
 class TestTreeAccuracy:
     # two rows per class, so every class is present
     y = np.repeat(np.arange(5), 2)
