@@ -89,8 +89,8 @@ class EncodedDataset:
     feature_names: list
     encoders: dict  # symbolic column name -> {raw value -> code}
     # the probe trees' wrf.SplitMemo, by bat.wrapper_fitness on first use
-    split_memo: object = dataclasses.field(default=None, repr=False,
-                                           compare=False)
+    split_memo: object = dataclasses.field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)

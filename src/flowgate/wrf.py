@@ -230,17 +230,19 @@ def train_tree(X, y, feature_ids, cfg: TreeConfig, rng, count=None,
         if mtry < d:
             pick = np.argsort(rng.random((live.size, d)), axis=1, kind="stable")
             drawn[pick[:, :mtry], np.arange(live.size)[:, None]] = True
-        score = drawn
-        if names is not None:  # the memo's (column, node) cells
+        if names is None:
+            gain, cut = _best_cuts(XT, order, codes, unpack, lo[live],
+                                   hi[live], counts[live], drawn, leaf)
+        else:  # the memo's (column, node) cells: score those it lacks
             at = (slice(None), memo.find([names[i] for i in live.tolist()]),
                   feature_ids[:, None])
             score = drawn & np.isnan(memo.cells[at][0])
-        gain, cut = _best_cuts(XT, order, codes, unpack, lo[live], hi[live],
-                               counts[live], score, leaf)
-        if names is not None:
-            col, node = np.nonzero(score)
-            memo.cells[:, at[1][node], feature_ids[col]] = gain[score], \
-                cut[score]
+            if score.any():
+                gain, cut = _best_cuts(XT, order, codes, unpack, lo[live],
+                                       hi[live], counts[live], score, leaf)
+                col, node = np.nonzero(score)
+                memo.cells[:, at[1][node], feature_ids[col]] = gain[score], \
+                    cut[score]
             gain, cut = np.where(drawn, memo.cells[at], 0.0)
         split = np.flatnonzero(gain.max(axis=0) > 0)
         c = gain[:, split].argmax(axis=0)  # the first column of the best

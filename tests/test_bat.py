@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -515,6 +516,7 @@ class TestProbeSplitMemo:
         assert train.split_memo.rows and twin.split_memo is None
         assert train == twin and repr(train) == before
         assert train.take(np.arange(train.n_samples)).split_memo is None
+        assert dataclasses.replace(train).split_memo is None
 
 
 def interleaved_run(fitness_fn, d, cfg):

@@ -206,7 +206,6 @@ def test_select_features_on_one_cpu_never_forks(pipeline_run, tmp_path,
     assert _select_features(out, tmp_path) == 0
 
 
-
 def test_select_features_writes_the_same_mask_on_one_cpu_and_two(
         pipeline_run, tmp_path, monkeypatch):
     # a forked child scores its masks on a copy of the parent's split memo,
